@@ -20,10 +20,9 @@ import time
 
 from . import deterministic, families, oracle, randomized, reports, serialization
 from .costfn import CountingOracle, ExplicitTable, check_monotone, check_submodular
-from .model import (Instance, ValidationError, agent_utility, best_responses,
-                    is_IC, principal_utility)
+from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
+                    best_responses, is_IC, principal_utility)
 
-DEFAULT_TOL = 1e-9
 DEFAULT_ALPHA_GRID = 1e-4
 RAND_COMPARE_TOL = 1e-4
 

@@ -184,7 +184,7 @@ def agent_utility(inst: Instance, scheme: InspectionScheme, j: ActionId) -> floa
 
 def principal_utility(inst: Instance, scheme: InspectionScheme, j: ActionId) -> float:
     a = inst.action(j)
-    expected_cost = sum(p * inst.inspection_cost(s) for s, p in scheme.distribution if p > 0.0)
+    expected_cost = expected_inspection_cost(inst, scheme)
     if j == scheme.suggested:
         return (1.0 - scheme.alpha) * a.prob - expected_cost
     uncaught = 1.0 - _caught_probability(scheme, scheme.suggested, j)

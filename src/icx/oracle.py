@@ -6,6 +6,9 @@ every (suggestion, inspected set) pair; the randomized oracle searches the
 payment axis and solves an exact LP in the inspection probabilities at each
 candidate payment; the coupling LP minimizes expected cost over all subset
 distributions with prescribed marginals.
+
+numpy is imported inside the functions that build or solve an LP, so that
+importing `icx` (and running the solvers) never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
-
-import numpy as np
 
 from .model import (ActionId, InspectionScheme, Instance, ValidationError,
                     best_responses, deterministic_scheme, principal_utility)
@@ -41,6 +42,8 @@ class LinearProgram:
     b: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.objective = np.asarray(self.objective, dtype=float)
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float)
@@ -55,6 +58,8 @@ class LinearProgram:
 
 
 def _pivot(T: np.ndarray, row: int, col: int):
+    import numpy as np
+
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
@@ -94,6 +99,8 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL):
     {"optimal", "infeasible", "unbounded"}; solution/value are None unless
     optimal.
     """
+    import numpy as np
+
     m, n = lp.A.shape
     A = lp.A.copy()
     b = lp.b.copy()
@@ -259,6 +266,8 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
     marginal equalities and a total-mass equality.  Returns
     ({subset: probability}, cost); raises ValidationError when infeasible.
     """
+    import numpy as np
+
     g = len(ground)
     if g > 10:
         raise ValidationError("coupling LP limited to |ground| <= 10")
@@ -297,6 +306,8 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float):
     nothing.  Returns (scheme, total principal cost alpha*f(i) + E[v]), or
     (None, inf) when infeasible.
     """
+    import numpy as np
+
     others = [a.id for a in inst.actions if a.id != i]
     active = [j for j in others if inst.f(j) > 0.0]
     subsets = []
@@ -367,6 +378,8 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
     (logged as hints; the LP itself stays independent).  The best bracket is
     then polished by golden section.  Returns (scheme, utility); n <= 7.
     """
+    import numpy as np
+
     from .randomized import breakpoints, stationary_alpha_candidates
 
     if inst.n > 7:

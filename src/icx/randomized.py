@@ -345,9 +345,10 @@ def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
                     partition: IntervalPartition, ell: int, k: int) -> InspectionScheme:
     """Materialize the winning subproblem as an inspection scheme.
 
-    Marginals are max(0, eta) beyond the split (zero up to it); the chain
-    construction over the constrained actions realizes them at minimum cost
-    with mass 1 - p_i, and {i} itself is inspected with probability p_i.
+    Marginals are eta clamped into [0, 1] beyond the split (zero up to it);
+    the chain construction over the constrained actions realizes them at
+    minimum cost with mass 1 - p_i, and {i} itself is inspected with
+    probability p_i.
     The result must pass the IC check; a failure is a solver bug.
     """
     if not result.feasible:
@@ -358,7 +359,8 @@ def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
         if t < k:
             marginals[j] = 0.0
         else:
-            marginals[j] = max(0.0, eta(inst, i, j, result.alpha, result.p_i))
+            # On tied instances eta can round just above 1; clamp into [0, 1].
+            marginals[j] = min(max(0.0, eta(inst, i, j, result.alpha, result.p_i)), 1.0)
     nested = nested_min_cost_distribution(order, marginals, 1.0 - result.p_i,
                                           inst.inspection_cost)
     dist: list[tuple[frozenset, float]] = list(nested.levels)

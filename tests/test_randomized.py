@@ -217,6 +217,22 @@ class TestAssemble:
         assert {s for s, p in scheme.distribution if p > 0} <= {
             frozenset(["i"]), frozenset()}
 
+    def test_tied_eta_rounding_above_one_is_clamped(self):
+        # eta of 'bot' evaluates to 1.0000000000000002 at the winning payment
+        # for a4; the marginal must be clamped before the chain construction.
+        inst = Instance((Action("bot", 0.0, 0.3933961909846232),
+                         Action("a1", 0.6875, 0.0),
+                         Action("a2", 0.8250000000000001, 0.5161109927850797),
+                         Action("a3", 0.41250000000000003, 1.0),
+                         Action("a4", 0.0308734040208047, 0.7498460912931564)), "bot",
+                        costfn.Additive([0.012775592938903875, 0.4305386178253532,
+                                         0.2530005988152861, 0.1110556891054099,
+                                         0.33926289157655803]))
+        report = solve_randomized(inst)
+        assert report.scheme.suggested == "a4"
+        assert marginal(report.scheme, "bot") == pytest.approx(1.0, abs=1e-12)
+        assert is_IC(inst, report.scheme, 1e-9)
+
 
 class TestSolveRandomized:
     def test_intro(self):
