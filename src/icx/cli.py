@@ -13,6 +13,7 @@ for identical inputs and seeds; --timing adds a wall-clock field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -52,12 +53,10 @@ def _alpha_grid(args) -> float:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # Streamed chunk by chunk: a 2^16-entry table never exists as one string.
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_validated_instance(path: str) -> Instance:
@@ -128,11 +127,13 @@ def cmd_eval(args) -> int:
 
 def _run_oracle(inst: Instance, mode: str, alpha_grid: float):
     if mode == "det":
-        if inst.n > 12:
-            raise OracleSizeError("deterministic oracle limited to n <= 12")
+        if inst.n > oracle.DET_ORACLE_MAX_N:
+            raise OracleSizeError(
+                f"deterministic oracle limited to n <= {oracle.DET_ORACLE_MAX_N}")
         return oracle.brute_force_deterministic(inst)
-    if inst.n > 7:
-        raise OracleSizeError("randomized oracle limited to n <= 7")
+    if inst.n > oracle.RAND_ORACLE_MAX_N:
+        raise OracleSizeError(
+            f"randomized oracle limited to n <= {oracle.RAND_ORACLE_MAX_N}")
     return oracle.brute_force_randomized(inst, alpha_resolution=alpha_grid)
 
 

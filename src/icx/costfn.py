@@ -5,13 +5,22 @@ Subsets of the ground set {0, ..., n-1} are represented as bitmask ints
 (value(0) == 0), monotone set functions by construction; `check_monotone`
 and `check_submodular` verify these properties either exhaustively or on
 seeded samples, returning a counterexample witness on failure.
+
+`SetFunction.table()` returns the list of all 2^n values indexed by bitmask,
+and every entry is bit-identical to `value(mask)`: the same float, of the
+same type.  The built-in constructors fill it by subset DP (entry m extends
+m without its highest bit by that bit), which reproduces `value`'s
+ascending-bit summation exactly; the exhaustive checks read the table and
+compare whole slices of it at C speed.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 EQ_TOL = 1e-12
@@ -34,8 +43,9 @@ def bits(mask: int):
 def price_of(prices: Sequence[float], mask: int) -> float:
     """Total price of a bitmask set, summed in ascending bit order.
 
-    Shared by every demand routine so that float results are reproducible
-    across implementations (tie-breaking relies on bit-identical sums).
+    Shared by every demand routine and by the additive values, so that float
+    results are reproducible across implementations and Python versions
+    (tie-breaking relies on bit-identical sums).
     """
     total = 0.0
     for i in bits(mask):
@@ -60,8 +70,16 @@ class SetFunction:
         return demand_default(self, prices, self.n)
 
     def table(self) -> list[float]:
-        """Materialize all 2^n values (n <= 16 guard: caller's concern)."""
+        """All 2^n values, bit-identical to `value` (n <= 16 guard: caller's concern)."""
         return [self.value(m) for m in range(1 << self.n)]
+
+
+def _subset_sums(weights: Sequence[float]) -> list[float]:
+    """`price_of(weights, m)` for every bitmask m, by subset DP."""
+    sums = [0.0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def demand_default(fn: SetFunction, prices: Sequence[float], n: int) -> int:
@@ -111,7 +129,10 @@ class Additive(SetFunction):
         return len(self.weights)
 
     def value(self, mask: int) -> float:
-        return sum(self.weights[i] for i in bits(mask))
+        return price_of(self.weights, mask)
+
+    def table(self) -> list[float]:
+        return _subset_sums(self.weights)
 
     def demand(self, prices: Sequence[float]) -> int:
         # Take exactly the elements with positive surplus; ties excluded
@@ -141,7 +162,11 @@ class BudgetAdditive(SetFunction):
         return len(self.weights)
 
     def value(self, mask: int) -> float:
-        return min(sum(self.weights[i] for i in bits(mask)), self.cap)
+        return min(price_of(self.weights, mask), self.cap)
+
+    def table(self) -> list[float]:
+        cap = self.cap
+        return [cap if cap < s else s for s in _subset_sums(self.weights)]
 
 
 @dataclass(frozen=True)
@@ -174,7 +199,17 @@ class WeightedCoverage(SetFunction):
         covered = 0
         for i in bits(mask):
             covered |= self.covers[i]
+        return self._weight(covered)
+
+    def _weight(self, covered: int) -> float:
         return sum(self.element_weights[e] for e in bits(covered))
+
+    def table(self) -> list[float]:
+        covered = [0]
+        for c in self.covers:
+            covered += [u | c for u in covered]
+        weight = {u: self._weight(u) for u in set(covered)}
+        return list(map(weight.__getitem__, covered))
 
 
 @dataclass(frozen=True)
@@ -201,6 +236,12 @@ class ConcaveCardinality(SetFunction):
     def value(self, mask: int) -> float:
         return self.g[popcount(mask)]
 
+    def table(self) -> list[float]:
+        sizes = [0]
+        for _ in range(self.n):
+            sizes += [k + 1 for k in sizes]
+        return list(map(self.g.__getitem__, sizes))
+
 
 @dataclass(frozen=True)
 class ExplicitTable(SetFunction):
@@ -220,12 +261,10 @@ class ExplicitTable(SetFunction):
         if validate:
             if vt[0] != 0.0:
                 raise ValueError("table not normalized: v(empty) != 0")
-            for mask in range(1 << n):
-                for i in range(n):
-                    if not mask & (1 << i) and vt[mask | (1 << i)] < vt[mask] - EQ_TOL:
-                        raise ValueError(
-                            f"table not monotone at S={mask:b}, element {i}"
-                        )
+            witness = _monotone_violation(vt, n)
+            if witness is not None:
+                mask, i = witness
+                raise ValueError(f"table not monotone at S={mask:b}, element {i}")
         object.__setattr__(self, "values", vt)
 
     @property
@@ -234,6 +273,9 @@ class ExplicitTable(SetFunction):
 
     def value(self, mask: int) -> float:
         return self.values[mask]
+
+    def table(self) -> list[float]:
+        return list(self.values)
 
 
 @dataclass(frozen=True)
@@ -290,6 +332,12 @@ class CountingOracle(SetFunction):
             self.demand_queries += 1
         return self.inner.demand(prices)
 
+    def table(self) -> list[float]:
+        """Counts one value query per entry, as materializing via `value` would."""
+        with self._lock:
+            self.value_queries += 1 << self.n
+        return self.inner.table()
+
 
 # ---------------------------------------------------------------------------
 # Class-membership checkers
@@ -302,6 +350,84 @@ def _sampled_masks(rng: random.Random, n: int, count: int):
         yield rng.randint(0, full)
 
 
+def _all_values(fn: SetFunction, n: int) -> list[float]:
+    """[fn.value(m) for m in range(1 << n)], through `table()` when n == fn.n."""
+    if fn.n == n:
+        return fn.table()
+    return [fn.value(m) for m in range(1 << n)]
+
+
+def _bit_slices(vals: Sequence[float], n: int, i: int):
+    """(hi, lo) slice pairs of vals with hi[k] = vals[m | 1 << i], lo[k] = vals[m].
+
+    Together they cover every mask m without bit i once.  Those masks form
+    2^(n-i-1) contiguous blocks, or equally 2^i strided slices; whichever
+    needs fewer slices is used, so at most 2^(n/2) slices and the work per
+    element runs in C.
+    """
+    size = 1 << n
+    b = 1 << i
+    step = b << 1
+    if b <= size // step:
+        return ((vals[lo + b::step], vals[lo::step]) for lo in range(b))
+    return ((vals[h + b:h + step], vals[h:h + b]) for h in range(0, size, step))
+
+
+def _any_step(vals: Sequence[float], n: int, cmp, shift) -> bool:
+    """Whether cmp(vals[m | b], shift(vals[m], EQ_TOL)) for some bit b and mask m without b."""
+    tol = repeat(EQ_TOL)
+    for i in range(n):
+        for hi, lo in _bit_slices(vals, n, i):
+            # cmp(hi, lo) is implied by the tolerant comparison and costs no
+            # float allocations, so it screens out the common clean slice.
+            if any(map(cmp, hi, lo)) and any(map(cmp, hi, map(shift, lo, tol))):
+                return True
+    return False
+
+
+def _monotone_violation(vals: Sequence[float], n: int):
+    """First (mask, i), in mask-then-element order, with v(mask + i) < v(mask) - EQ_TOL."""
+    if not _any_step(vals, n, operator.lt, operator.sub):
+        return None
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask & (1 << i) and vals[mask | (1 << i)] < vals[mask] - EQ_TOL:
+                return mask, i
+    raise AssertionError("slice scan and ordered scan disagree")
+
+
+def _gains(vals: Sequence[float], n: int, i: int) -> list[float]:
+    """v(m + i) - v(m) for every mask m without bit i, as a 2^(n-1) table.
+
+    Its index bits are m's other n - 1 bits in some fixed order, so a scan
+    over all of its bits meets every (m, m + j) pair exactly once.
+    """
+    gain = []
+    for hi, lo in _bit_slices(vals, n, i):
+        gain += map(operator.sub, hi, lo)
+    return gain
+
+
+def _submodular_violation(vals: Sequence[float], n: int):
+    """First (mask, i, j), in mask-then-i-then-j order, with v(i|mask+j) > v(i|mask) + EQ_TOL."""
+    if not any(_any_step(_gains(vals, n, i), n - 1, operator.gt, operator.add)
+               for i in range(n)):
+        return None
+    for mask in range(1 << n):
+        for i in range(n):
+            bi = 1 << i
+            if mask & bi:
+                continue
+            base = vals[mask | bi] - vals[mask]
+            for j in range(n):
+                bj = 1 << j
+                if j == i or mask & bj:
+                    continue
+                if vals[mask | bj | bi] - vals[mask | bj] > base + EQ_TOL:
+                    return mask, i, j
+    raise AssertionError("slice scan and ordered scan disagree")
+
+
 def check_monotone(fn: SetFunction, n: int, mode: str = "exhaustive",
                    seed: int = 0, samples: int = 1000):
     """Check S <= T => v(S) <= v(T) via single-element extensions.
@@ -312,12 +438,8 @@ def check_monotone(fn: SetFunction, n: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n > 16:
             raise ValueError("exhaustive monotonicity check limited to n <= 16")
-        vals = [fn.value(m) for m in range(1 << n)]
-        for mask in range(1 << n):
-            for i in range(n):
-                if not mask & (1 << i) and vals[mask | (1 << i)] < vals[mask] - EQ_TOL:
-                    return False, (mask, i)
-        return True, None
+        witness = _monotone_violation(_all_values(fn, n), n)
+        return witness is None, witness
     elif mode == "sampled":
         rng = random.Random(seed)
         for mask in _sampled_masks(rng, n, samples):
@@ -340,20 +462,8 @@ def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n > 16:
             raise ValueError("exhaustive submodularity check limited to n <= 16")
-        vals = [fn.value(m) for m in range(1 << n)]
-        for mask in range(1 << n):
-            for i in range(n):
-                bi = 1 << i
-                if mask & bi:
-                    continue
-                base = vals[mask | bi] - vals[mask]
-                for j in range(n):
-                    bj = 1 << j
-                    if j == i or mask & bj:
-                        continue
-                    if vals[mask | bj | bi] - vals[mask | bj] > base + EQ_TOL:
-                        return False, (mask, i, j)
-        return True, None
+        witness = _submodular_violation(_all_values(fn, n), n)
+        return witness is None, witness
     elif mode == "sampled":
         rng = random.Random(seed)
         for mask in _sampled_masks(rng, n, samples):

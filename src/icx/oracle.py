@@ -25,6 +25,8 @@ from .model import (ActionId, InspectionScheme, Instance, ValidationError,
 LP_TOL = 1e-9
 MAX_LP_VARS = 1 << 12
 MAX_LP_ROWS = 128
+DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
+RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +224,9 @@ def brute_force_deterministic(inst: Instance):
     For each pair, takes the cheapest IC payment and scores the principal's
     utility; returns (scheme, utility).
     """
-    if inst.n > 12:
-        raise ValidationError("deterministic brute force limited to n <= 12")
+    if inst.n > DET_ORACLE_MAX_N:
+        raise ValidationError(
+            f"deterministic brute force limited to n <= {DET_ORACLE_MAX_N}")
     best = None
     for a in inst.actions:
         i = a.id
@@ -382,8 +385,9 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
 
     from .randomized import breakpoints, stationary_alpha_candidates
 
-    if inst.n > 7:
-        raise ValidationError("randomized brute force limited to n <= 7")
+    if inst.n > RAND_ORACLE_MAX_N:
+        raise ValidationError(
+            f"randomized brute force limited to n <= {RAND_ORACLE_MAX_N}")
     best: tuple[float, InspectionScheme] | None = None
 
     def consider(utility, scheme):

@@ -28,11 +28,14 @@ import json
 from typing import Any
 
 from . import costfn
-from .model import Action, ActionId, InspectionScheme, Instance
+from .model import Action, ActionId, InspectionScheme, Instance, ValidationError
 
 
 class ParseError(ValueError):
     """Raised on malformed JSON structure (missing keys, bad types)."""
+
+
+_PIECE_ITEMS = 4096  # list items encoded per piece of a streamed digest
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -40,7 +43,26 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def instance_digest(doc: dict) -> str:
-    return hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+    """sha256 of canonical_dumps(doc), hashed piece by piece."""
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(doc):
+        digest.update(piece.encode())
+    return digest.hexdigest()
+
+
+def _canonical_pieces(obj: Any):
+    """canonical_dumps(obj) in pieces, so that a 2^16-entry table is never one string."""
+    if isinstance(obj, list) and len(obj) > _PIECE_ITEMS:
+        for k in range(0, len(obj), _PIECE_ITEMS):
+            yield ("[" if k == 0 else ",") + canonical_dumps(obj[k:k + _PIECE_ITEMS])[1:-1]
+        yield "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        for k, key in enumerate(sorted(obj)):
+            yield ("{" if k == 0 else ",") + canonical_dumps(key) + ":"
+            yield from _canonical_pieces(obj[key])
+        yield "}"
+    else:
+        yield canonical_dumps(obj)
 
 
 def _require(doc: dict, key: str):
@@ -57,6 +79,16 @@ def _weights_vector(weights: dict, ids: list[ActionId]) -> list[float]:
 
 
 def cost_fn_from_json(doc: dict, ids: list[ActionId]) -> costfn.SetFunction:
+    """Build the cost function; a constructor's value checks fail as ValidationError."""
+    try:
+        return _cost_fn_from_json(doc, ids)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
+def _cost_fn_from_json(doc: dict, ids: list[ActionId]) -> costfn.SetFunction:
     kind = _require(doc, "type")
     if kind == "additive":
         return costfn.Additive(_weights_vector(_require(doc, "weights"), ids))

@@ -56,6 +56,35 @@ class TestSolve:
         path.write_text("{nope")
         assert main(["solve", "--mode", "det", str(path)]) == 2
 
+    @pytest.mark.parametrize("cost_fn, message", [
+        ({"type": "table", "values": [0.0, 0.5, 0.25, 0.75, 1.0, 0.2, 1.0, 1.0]},
+         "table not monotone"),
+        ({"type": "additive", "weights": {"b": -0.1}}, "weights must be nonnegative"),
+        ({"type": "concave_cardinality", "table": [0.0, 0.1, 0.5, 0.6]},
+         "must be concave"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "eval", "check-costfn"])
+    def test_cost_fn_constructor_error_exit_3(self, capsys, tmp_path, cost_fn, message,
+                                              command):
+        doc = instance_to_json(gen_intro_example())
+        doc["cost_fn"] = cost_fn
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = {"solve": ["solve", "--mode", "det", str(path)],
+                "eval": ["eval", str(path), str(path)],
+                "check-costfn": ["check-costfn", str(path)]}[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_cost_fn_missing_key_still_exit_2(self, tmp_path):
+        doc = instance_to_json(gen_intro_example())
+        doc["cost_fn"] = {"type": "budget_additive", "weights": {"b": 0.5}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--mode", "det", str(path)]) == 2
+
     def test_non_submodular_rand_exit_4(self, capsys, tmp_path):
         code = main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "1",
                      "--out", str(tmp_path / "hard.json")])

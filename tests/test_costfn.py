@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from icx.costfn import (Additive, BudgetAdditive, ConcaveCardinality,
                         CountingOracle, ExplicitTable, WeightedCoverage,
                         XOSClauses, check_monotone, check_submodular,
                         check_xos_pointwise, demand_default)
+from icx.families import VTCost, random_hard_params
 from conftest import random_monotone_table, random_submodular_fn
 
 
@@ -159,3 +162,159 @@ def test_additive_matches_sum(weights, seed):
     mask = seed % (1 << len(weights))
     assert fn.value(mask) == pytest.approx(
         sum(w for i, w in enumerate(weights) if mask & (1 << i)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# table() and the slice-scan checks against plain per-mask references
+# ---------------------------------------------------------------------------
+
+
+def _exact(vals):
+    """Values compared bit for bit, type included (0 and 0.0 differ)."""
+    return [(type(v), repr(v)) for v in vals]
+
+
+def _weight(rng):
+    # Mixed magnitudes, so sums round differently in different orders.
+    return rng.choice([0.0, -0.0, 1e-17, 3e-9, 1e3, rng.uniform(0.0, 1.0),
+                       rng.uniform(0.0, 1e-6)])
+
+
+def _every_constructor(rng, n):
+    weights = [_weight(rng) for _ in range(n)]
+    universe = rng.randint(1, 9)
+    g = [0.0]
+    for d in sorted((_weight(rng) for _ in range(n)), reverse=True):
+        g.append(g[-1] + d)
+    fns = [
+        Additive(weights),
+        BudgetAdditive(weights, rng.choice([0.0, sum(weights) / 2, 1e9])),
+        WeightedCoverage(universe, [rng.randrange(1 << universe) for _ in range(n)],
+                         [_weight(rng) for _ in range(universe)]),
+        ConcaveCardinality(g),
+        random_monotone_table(rng, n),
+        XOSClauses([[_weight(rng) for _ in range(n)] for _ in range(2)]),
+    ]
+    if n == 10:
+        fns.append(VTCost(random_hard_params(7, rng.randrange(100))))
+    return fns
+
+
+def _reference_monotone(vals, n):
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask & (1 << i) and vals[mask | (1 << i)] < vals[mask] - costfn.EQ_TOL:
+                return False, (mask, i)
+    return True, None
+
+
+def _reference_submodular(vals, n):
+    for mask in range(1 << n):
+        for i in range(n):
+            bi = 1 << i
+            if mask & bi:
+                continue
+            base = vals[mask | bi] - vals[mask]
+            for j in range(n):
+                bj = 1 << j
+                if j == i or mask & bj:
+                    continue
+                if vals[mask | bj | bi] - vals[mask | bj] > base + costfn.EQ_TOL:
+                    return False, (mask, i, j)
+    return True, None
+
+
+def _corrupt(rng, vals, n):
+    """Move a few entries across, onto or next to an EQ_TOL boundary."""
+    vals = list(vals)
+    for _ in range(rng.randint(1, 3)):
+        mask = rng.randrange(1 << n)
+        i = rng.randrange(n)
+        lo, hi = mask & ~(1 << i), mask | (1 << i)
+        ulps = rng.choice([-1, 0, 1])
+        if rng.random() < 0.5:
+            # monotone boundary: v(hi) against v(lo) - EQ_TOL
+            target = vals[lo] - costfn.EQ_TOL
+        else:
+            # submodular boundary: the gain of i at lo + j against its gain at lo
+            j = rng.randrange(n)
+            if j == i or n < 2:
+                target = vals[hi] + rng.uniform(-1.0, 1.0)
+            else:
+                bj = 1 << j
+                lo, hi = lo & ~bj, hi & ~bj
+                target = vals[lo | bj] + (vals[hi] - vals[lo]) + costfn.EQ_TOL
+                hi |= bj
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, ulps * math.inf)
+        vals[hi] = target
+    vals[0] = 0.0
+    return vals
+
+
+class TestTables:
+    def test_table_is_bit_identical_to_value(self, rng):
+        for n in (1, 1, 2, 3, 5, 8, 10):
+            for fn in _every_constructor(rng, n):
+                assert fn.n == n
+                table = fn.table()
+                assert _exact(table) == _exact(fn.value(m) for m in range(1 << n)), fn
+
+    def test_counting_oracle_counts_each_entry(self, rng):
+        for n in (1, 4, 7):
+            inner = random_submodular_fn(rng, n)
+            fn = CountingOracle(inner)
+            fn.value(0)
+            assert _exact(fn.table()) == _exact(inner.table())
+            assert fn.value_queries == 1 + (1 << n)
+            assert fn.demand_queries == 0
+
+    def test_exhaustive_checks_count_2_to_the_n(self, rng):
+        fn = CountingOracle(random_submodular_fn(rng, 6))
+        check_monotone(fn, 6)
+        check_submodular(fn, 6)
+        assert fn.value_queries == 2 << 6
+
+    def test_checks_match_reference_on_corrupted_tables(self, rng):
+        outcomes = set()
+        for trial in range(400):
+            n = rng.randint(1, 8)
+            source = (random_submodular_fn(rng, n) if trial % 2
+                      else random_monotone_table(rng, n))
+            vals = _corrupt(rng, source.table(), n)
+            fn = ExplicitTable(vals, validate=False)
+            mono = _reference_monotone(vals, n)
+            sub = _reference_submodular(vals, n)
+            assert check_monotone(fn, n) == mono
+            assert check_submodular(fn, n) == sub
+            if mono[0]:
+                ExplicitTable(vals)
+            else:
+                mask, i = mono[1]
+                with pytest.raises(ValueError,
+                                   match=f"not monotone at S={mask:b}, element {i}$"):
+                    ExplicitTable(vals)
+            outcomes.add((mono[0], sub[0]))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_violation_exactly_at_tolerance(self):
+        # v({0}) - v({}) may undercut by EQ_TOL itself, not by one ulp more.
+        at = -costfn.EQ_TOL
+        below = math.nextafter(at, -math.inf)
+        assert check_monotone(ExplicitTable([0.0, at], validate=False), 1) == (True, None)
+        assert check_monotone(ExplicitTable([0.0, below], validate=False), 1) == \
+            (False, (0, 0))
+        # Gain of 0 grows from 0 to EQ_TOL (allowed), then one ulp further.
+        ok = [0.0, 0.0, 0.5, 0.5 + costfn.EQ_TOL]
+        assert check_submodular(ExplicitTable(ok, validate=False), 2) == (True, None)
+        bad = ok[:3] + [math.nextafter(ok[3], math.inf)]
+        assert check_submodular(ExplicitTable(bad, validate=False), 2) == \
+            (False, (0, 0, 1))
+
+    def test_n_below_fn_n_checks_the_prefix(self, rng):
+        for _ in range(30):
+            vals = _corrupt(rng, random_monotone_table(rng, 6).table(), 6)
+            fn = ExplicitTable(vals, validate=False)
+            for n in range(6):
+                assert check_monotone(fn, n) == _reference_monotone(vals[:1 << n], n)
+                assert check_submodular(fn, n) == _reference_submodular(vals[:1 << n], n)

@@ -40,6 +40,50 @@ class TestSimplex:
         with pytest.raises(ValueError):
             LinearProgram(np.zeros(5000), np.zeros((1, 5000)), ("<=",), [1.0])
 
+    def test_against_scipy_linprog(self, rng):
+        # Random feasible bounded LPs with mixed senses: rows are built
+        # around a known nonnegative point x0, and a box bounds the region.
+        optimize = pytest.importorskip("scipy.optimize")
+        for trial in range(150):
+            n = rng.randint(1, 5)
+            m = rng.randint(1, 5)
+            x0 = [0.0 if rng.random() < 0.3 else rng.uniform(0.0, 2.0) for _ in range(n)]
+            A, b, senses = [], [], []
+            for _ in range(m):
+                row = [0.0 if rng.random() < 0.2 else rng.uniform(-1, 1) for _ in range(n)]
+                at_x0 = sum(a * x for a, x in zip(row, x0))
+                sense = rng.choice(["<=", ">=", "="])
+                slack = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 1.0)
+                A.append(row)
+                b.append(at_x0 + slack if sense == "<=" else
+                         at_x0 - slack if sense == ">=" else at_x0)
+                senses.append(sense)
+            A += [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+            b += [x + rng.uniform(0.5, 3.0) for x in x0]
+            senses += ["<="] * n
+            c = [rng.uniform(-1, 1) for _ in range(n)]
+            status, x, value = simplex_solve(LinearProgram(c, A, tuple(senses), b))
+
+            rows = {s: [k for k, t in enumerate(senses) if t == s] for s in ("<=", ">=", "=")}
+            ub_rows = rows["<="] + rows[">="]
+            sign = [1.0 if senses[k] == "<=" else -1.0 for k in ub_rows]
+            ref = optimize.linprog(
+                c,
+                A_ub=[[sg * a for a in A[k]] for sg, k in zip(sign, ub_rows)],
+                b_ub=[sg * b[k] for sg, k in zip(sign, ub_rows)],
+                A_eq=[A[k] for k in rows["="]] or None,
+                b_eq=[b[k] for k in rows["="]] or None,
+                bounds=[(0, None)] * n, method="highs")
+            assert ref.status == 0, ref.message
+            assert status == "optimal"
+            assert value == pytest.approx(ref.fun, abs=1e-8)
+            assert float(np.dot(c, x)) == pytest.approx(value, abs=1e-9)
+            assert (x >= -1e-9).all()
+            for row, rhs, sense in zip(A, b, senses):
+                lhs = float(np.dot(row, x))
+                assert {"<=": lhs <= rhs + 1e-8, ">=": lhs >= rhs - 1e-8,
+                        "=": abs(lhs - rhs) <= 1e-8}[sense]
+
     def test_against_vertex_enumeration(self, rng):
         # Random bounded feasible LPs in <= 3 vars; brute-force all basic
         # feasible points from constraint/axis intersections.

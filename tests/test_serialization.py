@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -99,3 +100,16 @@ class TestDigest:
 
     def test_canonical_is_key_order_free(self):
         assert canonical_dumps({"b": 1, "a": 2}) == canonical_dumps({"a": 2, "b": 1})
+
+    def test_digest_hashes_the_canonical_text(self, rng):
+        # Long lists are hashed in pieces; the bytes hashed must not change.
+        table = [rng.choice([0.0, 1.0, rng.random(), 1e-300, float("inf")])
+                 for _ in range(3 * 4096 + 5)]
+        docs = [
+            instance_to_json(gen_intro_example()),
+            {"cost_fn": {"type": "table", "values": table}, "z": {}, "a": [[1, 2], {"é": None}]},
+            {"values": table[:4096]}, {"values": table[:4097]}, {1: "int key"}, [], {},
+        ]
+        for doc in docs:
+            expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+            assert instance_digest(doc) == expected
