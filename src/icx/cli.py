@@ -61,7 +61,8 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _load_validated_instance(path: str) -> Instance:
     inst = serialization.load_instance(path)
-    if inst.n <= 16:
+    # A table cost was already checked by the same exhaustive scan when read.
+    if inst.n <= 16 and not isinstance(inst.cost_fn, ExplicitTable):
         ok, witness = check_monotone(inst.cost_fn, inst.n, mode="exhaustive")
         if not ok:
             raise ValidationError(f"inspection cost not monotone; witness {witness}")

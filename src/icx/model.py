@@ -12,6 +12,7 @@ All types are immutable value objects; the operations are pure functions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -28,13 +29,17 @@ class ValidationError(ValueError):
     """Raised when an instance or scheme violates its structural invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     id: ActionId
     cost: float
     prob: float
 
     def __post_init__(self):
+        # Ids are names shared by every instance that uses them; interning
+        # keeps one string per name however many actions carry it.
+        if type(self.id) is str:
+            object.__setattr__(self, "id", sys.intern(self.id))
         if self.cost < 0:
             raise ValidationError(f"action {self.id!r}: cost must be nonnegative")
         if not 0.0 <= self.prob <= 1.0:

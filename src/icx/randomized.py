@@ -40,6 +40,10 @@ FEAS_TOL = 1e-11
 DEDUP_TOL = 1e-12
 IC_ASSEMBLY_TOL = 1e-9
 
+# The empty inspection set, shared by every scheme (each frozenset() is a new
+# 216-byte object on CPython).
+_NOTHING = frozenset()
+
 
 class SubmodularityError(ValueError):
     """Cost function failed the submodularity check required by the solver."""
@@ -141,25 +145,31 @@ class IntervalPartition:
     active: tuple[ActionId, ...]
 
 
-def _h_coeffs(inst: Instance, i: ActionId, j: ActionId) -> tuple[float, float]:
-    """h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero."""
-    fi, fj = inst.f(i), inst.f(j)
-    return 1.0 - fi / fj, (inst.c(i) - inst.c(j)) / fj
-
-
 def breakpoints(inst: Instance, i: ActionId) -> IntervalPartition:
-    fi, ci = inst.f(i), inst.c(i)
+    partition, _ = _partition(inst, inst.index(i), *_arrays(inst))
+    return partition
+
+
+def _arrays(inst: Instance) -> tuple[list[float], list[float]]:
+    """Success probabilities and costs, indexed like the actions."""
+    return [a.prob for a in inst.actions], [a.cost for a in inst.actions]
+
+
+def _partition(inst: Instance, ii: int, f: Sequence[float], c: Sequence[float]):
+    """breakpoints() for the action at index ii, plus each order as indices."""
+    fi, ci = f[ii], c[ii]
+    i = inst.actions[ii].id
     if not fi > ci > 0.0:
         raise ValidationError(f"breakpoints requires f({i}) > c({i}) > 0")
-    active = tuple(a.id for a in inst.actions if a.id != i and a.prob > 0.0)
+    active = [x for x in range(len(f)) if x != ii and f[x] > 0.0]
     pts = []
-    for x in range(len(active)):
-        for y in range(x + 1, len(active)):
-            j, jp = active[x], active[y]
-            fj, fjp = inst.f(j), inst.f(jp)
-            if fj == fjp:
+    for s, x in enumerate(active):
+        fx, cx = f[x], c[x]
+        for y in active[s + 1:]:
+            fy = f[y]
+            if fx == fy:
                 continue
-            alpha = ((ci - inst.c(j)) * fjp - (ci - inst.c(jp)) * fj) / ((fjp - fj) * fi)
+            alpha = ((ci - cx) * fy - (ci - c[y]) * fx) / ((fy - fx) * fi)
             if DEDUP_TOL < alpha < 1.0 - DEDUP_TOL:
                 pts.append(alpha)
     pts.sort()
@@ -169,16 +179,21 @@ def breakpoints(inst: Instance, i: ActionId) -> IntervalPartition:
             cutpoints.append(p)
     cutpoints.append(1.0)
 
+    # h_x(alpha) = a + b/alpha, the p_i level at which eta_x hits zero.
+    a = {x: 1.0 - fi / f[x] for x in active}
+    b = {x: (ci - c[x]) / f[x] for x in active}
     orders = []
     for ell in range(len(cutpoints) - 1):
         mid = 0.5 * (cutpoints[ell] + cutpoints[ell + 1])
-
-        def h_at_mid(j, mid=mid):
-            a, b = _h_coeffs(inst, i, j)
-            return a + b / mid
-
-        orders.append(tuple(sorted(active, key=lambda j: (h_at_mid(j), inst.index(j)))))
-    return IntervalPartition(i, tuple(cutpoints), tuple(orders), active)
+        orders.append(sorted(active, key=lambda x: (a[x] + b[x] / mid, x)))
+    # Tuples built from lists, not generators: a generator's tuple is
+    # allocated at a guessed size and resized, so it bypasses CPython's
+    # per-size tuple free lists on the way in and fills them on the way out.
+    ids = [act.id for act in inst.actions]
+    partition = IntervalPartition(
+        i, tuple(cutpoints), tuple([tuple([ids[x] for x in order]) for order in orders]),
+        tuple([ids[x] for x in active]))
+    return partition, orders
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +212,65 @@ class SubproblemResult:
     feasible: bool
 
 
-def _suffix_values(inst: Instance, i: ActionId, order: Sequence[ActionId],
-                   memo: Optional[dict] = None) -> list[float]:
-    """w[t] = v({order[t], ..., order[-1]}), with w[len] = 0."""
-    vals = []
-    for t in range(len(order)):
-        ids = frozenset(order[t:])
-        if memo is None:
-            vals.append(inst.inspection_cost(ids))
-        else:
-            mask = inst.mask_of(ids)
+class _Interval:
+    """What every split k of one interval shares, computed once per interval.
+
+    For the interval's eta order (action indices `order`): `fs`/`cs` are
+    their success probabilities and costs, `w[t]` = v({order[t], ...,
+    order[-1]}) with w[len] = 0, `coeffs[t]` = (a, b) with h_{order[t]}(alpha)
+    = a + b/alpha, `tail[t]` = (cs[t], fs[t], w[t] - w[t+1]) and `bdw[t]` =
+    b * (w[t] - w[t+1]).  Values are read through `memo` (mask -> value),
+    which callers share across the intervals of one suggestion.
+    """
+
+    __slots__ = ("fi", "ci", "fs", "cs", "w", "coeffs", "tail", "bdw", "v_i")
+
+    def __init__(self, inst: Instance, ii: int, order: Sequence[int],
+                 f: Sequence[float], c: Sequence[float], memo: dict):
+        value = inst.cost_fn.value
+
+        def read(mask: int) -> float:
             if mask not in memo:
-                memo[mask] = inst.cost_fn.value(mask)
-            vals.append(memo[mask])
-    vals.append(0.0)
-    return vals
+                memo[mask] = value(mask)
+            return memo[mask]
+
+        fi, ci = self.fi, self.ci = f[ii], c[ii]
+        fs = self.fs = [f[x] for x in order]
+        cs = self.cs = [c[x] for x in order]
+        w = [0.0]
+        mask = 0
+        for x in reversed(order):
+            mask |= 1 << x
+            w.append(read(mask))
+        w.reverse()
+        self.w = w
+        self.coeffs = [(1.0 - fi / fj, (ci - cj) / fj) for fj, cj in zip(fs, cs)]
+        dw = [w[t] - w[t + 1] for t in range(len(order))]
+        self.tail = list(zip(cs, fs, dw))
+        self.bdw = [b * d for (_, b), d in zip(self.coeffs, dw)]
+        self.v_i = read(1 << ii)
+
+
+def _payment_range(partition: IntervalPartition, ell: int, fi: float, ci: float):
+    """(lo, hi) payments of interval ell above break-even c(i)/f(i), or None."""
+    lo = max(partition.cutpoints[ell], ci / fi)
+    hi = partition.cutpoints[ell + 1]
+    if lo > hi + FEAS_TOL:
+        return None
+    return min(lo, hi), hi
 
 
 def subproblem_objective(inst: Instance, i: ActionId, order: Sequence[ActionId],
                          k: int, alpha: float, p_i: float,
                          w: Optional[Sequence[float]] = None,
                          v_i: Optional[float] = None) -> float:
-    """alpha*f(i) + p_i*v({i}) + sum_{t>k} eta_t * (w_t - w_{t+1})  (telescoped)."""
+    """alpha*f(i) + p_i*v({i}) + sum_{t>k} eta_t * (w_t - w_{t+1})  (telescoped).
+
+    The id-based reference for the objective solve_subproblem evaluates;
+    w[t] = v({order[t], ..., order[-1]}) with w[len] = 0.
+    """
     if w is None:
-        w = _suffix_values(inst, i, order)
+        w = [inst.inspection_cost(order[t:]) for t in range(len(order))] + [0.0]
     if v_i is None:
         v_i = inst.inspection_cost([i])
     total = alpha * inst.f(i) + p_i * v_i
@@ -230,7 +280,7 @@ def subproblem_objective(inst: Instance, i: ActionId, order: Sequence[ActionId],
 
 
 def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: int,
-                     _memo: Optional[dict] = None) -> SubproblemResult:
+                     _ctx: Optional[_Interval] = None) -> SubproblemResult:
     """Exact minimizer of the interval/split subproblem, or feasible=False.
 
     Constraints: eta_{pi(k)} <= 0 <= eta_{pi(k+1)} (closed form of the open
@@ -240,37 +290,33 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
     resulting alpha-piece has the shape A + B*alpha + D/alpha.
     """
     i = partition.suggested
-    order = partition.orders[ell]
-    n_a = len(order)
+    n_a = len(partition.orders[ell])
     if not 0 <= k <= n_a:
         raise ValidationError(f"split index k={k} outside 0..{n_a}")
-    fi, ci = inst.f(i), inst.c(i)
-    infeasible = SubproblemResult(i, ell, k, math.nan, math.nan, math.inf, False)
+    if _ctx is None:
+        ii = inst.index(i)
+        f, c = _arrays(inst)
+        if _payment_range(partition, ell, f[ii], c[ii]) is None:
+            return _infeasible(i, ell, k)
+        order = [inst.index(j) for j in partition.orders[ell]]
+        _ctx = _Interval(inst, ii, order, f, c, {})
+    fi, ci = _ctx.fi, _ctx.ci
+    span = _payment_range(partition, ell, fi, ci)
+    if span is None:
+        return _infeasible(i, ell, k)
+    lo, hi = span
 
-    lo = max(partition.cutpoints[ell], ci / fi)
-    hi = partition.cutpoints[ell + 1]
-    if lo > hi + FEAS_TOL:
-        return infeasible
-    lo = min(lo, hi)
-
-    w = _suffix_values(inst, i, order, _memo)
-    if _memo is None:
-        v_i = inst.inspection_cost([i])
-    else:
-        mask_i = inst.mask_of([i])
-        if mask_i not in _memo:
-            _memo[mask_i] = inst.cost_fn.value(mask_i)
-        v_i = _memo[mask_i]
-    gamma = v_i - w[k]
-
-    coeffs = {j: _h_coeffs(inst, i, j) for j in order}
+    v_i = _ctx.v_i
+    gamma = v_i - _ctx.w[k]
+    coeffs = _ctx.coeffs
+    tail = _ctx.tail[k:]
 
     def h(idx: int, alpha: float) -> float:
         if idx < 0:
             return -math.inf
         if idx >= n_a:
             return math.inf
-        a, b = coeffs[order[idx]]
+        a, b = coeffs[idx]
         return a + b / alpha
 
     # Cut the alpha range where the boundary curves h_{pi(k)}, h_{pi(k+1)}
@@ -279,8 +325,7 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
     cuts = {lo, hi}
     for idx in (k - 1, k):  # 0-based positions of pi(k) and pi(k+1)
         if 0 <= idx < n_a:
-            j = order[idx]
-            fj, cj = inst.f(j), inst.c(j)
+            fj, cj = _ctx.fs[idx], _ctx.cs[idx]
             if fi != fj:
                 x = (ci - cj) / (fi - fj)  # h_j = 0
                 if lo < x < hi:
@@ -290,7 +335,7 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
                 cuts.add(x)
     grid = sorted(cuts)
 
-    base_D = sum(coeffs[order[t]][1] * (w[t] - w[t + 1]) for t in range(k, n_a))
+    base_D = sum(_ctx.bdw[k:])
 
     def p_at(alpha: float) -> Optional[float]:
         """Optimal p_i for fixed alpha, clamped into the constraint box."""
@@ -302,11 +347,17 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
         return min(max(p, 0.0), 1.0)
 
     def evaluate(alpha: float):
+        """subproblem_objective at (alpha, p_at(alpha)), with eta's operand order."""
         p = p_at(alpha)
         if p is None:
             return None
-        obj = subproblem_objective(inst, i, order, k, alpha, p, w, v_i)
-        return obj, alpha, p
+        pay = alpha * fi
+        rate = pay - ci
+        keep = 1.0 - p
+        total = pay + p * v_i
+        for cj, fj, dw in tail:
+            total += (keep - (rate + cj) / (alpha * fj)) * dw
+        return total, alpha, p
 
     best = None
     for a0, a1 in zip(grid, grid[1:]) if len(grid) > 1 else [(lo, hi)]:
@@ -317,10 +368,10 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
         D = base_D
         if gamma >= 0.0:
             if k >= 1 and h(k - 1, mid) > 0.0:
-                D += gamma * coeffs[order[k - 1]][1]
+                D += gamma * coeffs[k - 1][1]
         else:
             if h(k, mid) < 1.0:
-                D += gamma * coeffs[order[k]][1]
+                D += gamma * coeffs[k][1]
         cands = [a0, a1]
         if D > 0.0:
             star = math.sqrt(D / fi)
@@ -331,9 +382,13 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
             if got is not None and (best is None or got[0] < best[0]):
                 best = got
     if best is None:
-        return infeasible
+        return _infeasible(i, ell, k)
     obj, alpha, p = best
     return SubproblemResult(i, ell, k, alpha, p, obj, True)
+
+
+def _infeasible(i: ActionId, ell: int, k: int) -> SubproblemResult:
+    return SubproblemResult(i, ell, k, math.nan, math.nan, math.inf, False)
 
 
 # ---------------------------------------------------------------------------
@@ -366,33 +421,34 @@ def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
     dist: list[tuple[frozenset, float]] = list(nested.levels)
     if result.p_i > 0.0:
         dist.append((frozenset([i]), result.p_i))
-    dist.append((frozenset(), nested.empty_mass))
+    dist.append((_NOTHING, nested.empty_mass))
     scheme = InspectionScheme(i, result.alpha, dist)
     if not is_IC(inst, scheme, IC_ASSEMBLY_TOL):
         raise AssertionError(f"solver bug: assembled scheme for {i} is not IC")
     return scheme
 
 
-def _enumerate_candidates(inst: Instance, i: ActionId):
-    """All feasible subproblem results for suggestion i (f(i) > c(i) > 0)."""
+def _enumerate_candidates(inst: Instance, ii: int):
+    """Yield every feasible (partition, result) for the action at index ii (f > c > 0)."""
+    f, c = _arrays(inst)
+    partition, orders = _partition(inst, ii, f, c)
     memo: dict = {}
-    partition = breakpoints(inst, i)
-    out = []
-    for ell in range(len(partition.orders)):
-        for k in range(len(partition.orders[ell]) + 1):
-            res = solve_subproblem(inst, partition, ell, k, _memo=memo)
+    for ell, order in enumerate(orders):
+        if _payment_range(partition, ell, f[ii], c[ii]) is None:
+            continue
+        ctx = _Interval(inst, ii, order, f, c, memo)
+        for k in range(len(order) + 1):
+            res = solve_subproblem(inst, partition, ell, k, _ctx=ctx)
             if res.feasible:
-                out.append((partition, res))
-    return out
+                yield partition, res
 
 
 def stationary_alpha_candidates(inst: Instance, i: ActionId) -> set[float]:
     """Payments at which some subproblem attains its minimum (oracle hints)."""
     try:
-        cands = _enumerate_candidates(inst, i)
+        return {res.alpha for _, res in _enumerate_candidates(inst, inst.index(i))}
     except ValidationError:
         return set()
-    return {res.alpha for _, res in cands}
 
 
 def solve_randomized(inst: Instance, verify_submodular: str | bool = "auto",
@@ -415,22 +471,22 @@ def solve_randomized(inst: Instance, verify_submodular: str | bool = "auto",
 
     best = None  # (utility, -index, -alpha) -> payload
 
-    def consider(utility, i, alpha, payload):
+    def consider(utility, ii, alpha, payload):
         nonlocal best
-        key = (utility, -inst.index(i), -alpha)
+        key = (utility, -ii, -alpha)
         if best is None or key > best[0]:
             best = (key, payload)
 
-    for a in inst.actions:
+    for ii, a in enumerate(inst.actions):
         i = a.id
         if a.cost == 0.0:
-            scheme = InspectionScheme(i, 0.0, [(frozenset(), 1.0)])
-            consider(a.prob, i, 0.0, ("zero_cost", i, scheme, a.prob))
+            scheme = InspectionScheme(i, 0.0, [(_NOTHING, 1.0)])
+            consider(a.prob, ii, 0.0, ("zero_cost", i, scheme, a.prob))
             continue
         if a.prob <= a.cost:
             continue
-        for partition, res in _enumerate_candidates(inst, i):
-            consider(a.prob - res.objective, i, res.alpha,
+        for partition, res in _enumerate_candidates(inst, ii):
+            consider(a.prob - res.objective, ii, res.alpha,
                      ("subproblem", i, partition, res))
 
     payload = best[1]

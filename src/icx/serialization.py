@@ -23,16 +23,25 @@ bitmask over the instance's action-list order, bit i = actions[i]):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
+
+# CPython's built-in sha256 gives the same digest as hashlib's without
+# loading OpenSSL's libcrypto (several MB of resident memory per process).
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10/3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import costfn
 from .model import Action, ActionId, InspectionScheme, Instance, ValidationError
 
 
 class ParseError(ValueError):
-    """Raised on malformed JSON structure (missing keys, bad types)."""
+    """Raised on malformed JSON structure (missing keys, bad types, non-numbers)."""
 
 
 _PIECE_ITEMS = 4096  # list items encoded per piece of a streamed digest
@@ -44,7 +53,7 @@ def canonical_dumps(obj: Any) -> str:
 
 def instance_digest(doc: dict) -> str:
     """sha256 of canonical_dumps(doc), hashed piece by piece."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for piece in _canonical_pieces(doc):
         digest.update(piece.encode())
     return digest.hexdigest()
@@ -163,7 +172,9 @@ def instance_from_json(doc: dict) -> Instance:
         ids = [a.id for a in actions]
         fn = cost_fn_from_json(_require(doc, "cost_fn"), ids)
         null_id = str(_require(doc, "null_id"))
-    except (TypeError, KeyError) as exc:
+    except (ParseError, ValidationError):
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
     return Instance(actions, null_id, fn)
 
@@ -182,7 +193,9 @@ def scheme_from_json(doc: dict) -> InspectionScheme:
                 for e in _require(doc, "distribution")]
         return InspectionScheme(str(_require(doc, "suggested")),
                                 float(_require(doc, "alpha")), dist)
-    except (TypeError, KeyError) as exc:
+    except (ParseError, ValidationError):
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
 

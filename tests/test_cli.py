@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from icx import costfn
 from icx.cli import main
 from icx.families import gen_intro_example, gen_nonic_example
+from icx.model import deterministic_scheme
 from icx.serialization import instance_to_json, scheme_to_json
 
 
@@ -85,6 +87,52 @@ class TestSolve:
         path.write_text(json.dumps(doc))
         assert main(["solve", "--mode", "det", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["cost", "prob"])
+    def test_non_numeric_action_field_exit_2(self, capsys, tmp_path, field):
+        doc = instance_to_json(gen_intro_example())
+        doc["actions"][1][field] = "abc"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--mode", "det", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: could not convert string to float: 'abc'\n"
+
+    def test_negative_cost_still_exit_3(self, capsys, tmp_path):
+        doc = instance_to_json(gen_intro_example())
+        doc["actions"][1]["cost"] = -0.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--mode", "det", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("validation error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mode", "det"], ["solve", "--mode", "rand"],
+        ["brute-force", "--mode", "det"], ["compare", "--mode", "det"],
+    ], ids=" ".join)
+    def test_table_monotonicity_scanned_once(self, capsys, tmp_path, monkeypatch, argv):
+        # ExplicitTable checks monotonicity when read; the CLI does not repeat it.
+        inst = gen_intro_example()
+        table_inst = inst.with_cost_fn(costfn.ExplicitTable(inst.cost_fn.table()))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(instance_to_json(table_inst)))
+        scans = []
+        scan = costfn._monotone_violation
+        monkeypatch.setattr(costfn, "_monotone_violation",
+                            lambda vals, n: scans.append(n) or scan(vals, n))
+        assert main(argv + [str(path)]) == 0
+        assert scans == [3]
+
+    @pytest.mark.parametrize("mode", ["det", "rand"])
+    def test_non_monotone_table_exit_3_message(self, capsys, tmp_path, mode):
+        doc = instance_to_json(gen_intro_example())
+        doc["cost_fn"] = {"type": "table",
+                          "values": [0.0, 0.5, 0.25, 0.75, 1.0, 0.2, 1.0, 1.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--mode", mode, str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "validation error: table not monotone at S=1, element 2\n")
+
     def test_non_submodular_rand_exit_4(self, capsys, tmp_path):
         code = main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "1",
                      "--out", str(tmp_path / "hard.json")])
@@ -117,6 +165,37 @@ class TestEval:
             "suggested": "zzz", "alpha": 0.0,
             "distribution": [{"set": [], "prob": 1.0}]}))
         assert main(["eval", intro_file, str(spath)]) == 3
+
+    @pytest.mark.parametrize("field", ["alpha", "prob"])
+    def test_non_numeric_scheme_field_exit_2(self, capsys, tmp_path, intro_file, field):
+        scheme = {"suggested": "g", "alpha": 0.35,
+                  "distribution": [{"set": ["g"], "prob": 1.0}]}
+        if field == "alpha":
+            scheme["alpha"] = "abc"
+        else:
+            scheme["distribution"][0]["prob"] = "abc"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scheme))
+        assert main(["eval", intro_file, str(spath)]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: could not convert string to float: 'abc'\n"
+
+    def test_non_numeric_action_field_exit_2(self, capsys, tmp_path):
+        doc = instance_to_json(gen_intro_example())
+        doc["actions"][2]["prob"] = "abc"
+        ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+        ipath.write_text(json.dumps(doc))
+        spath.write_text(json.dumps(scheme_to_json(
+            deterministic_scheme("g", 0.35, frozenset(["g"])))))
+        assert main(["eval", str(ipath), str(spath)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_scheme_out_of_range_alpha_still_exit_3(self, capsys, tmp_path, intro_file):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"suggested": "g", "alpha": 1.5,
+                                     "distribution": [{"set": [], "prob": 1.0}]}))
+        assert main(["eval", intro_file, str(spath)]) == 3
+        assert capsys.readouterr().err.startswith("validation error: ")
 
     def test_hidden_shift_reference_scheme(self, capsys, tmp_path):
         from icx.families import HardParams, gen_xos_hard, unique_optimal_scheme

@@ -20,6 +20,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Action("a", 0.1, 1.5)
 
+    def test_action_is_compact(self):
+        # Instances are held by the thousand (generated families, batch
+        # runs): an Action keeps no per-object dict, and equal ids share
+        # one interned string.
+        a = Action("".join(["a", "7"]), 0.1, 0.5)
+        assert not hasattr(a, "__dict__")
+        assert a.id is Action("a7", 0.2, 0.6).id
+        assert a == Action("a7", 0.1, 0.5)
+
     def test_instance_needs_null(self):
         with pytest.raises(ValidationError):
             Instance((Action("a", 0.1, 0.5),), "bot", costfn.Additive([1.0]))

@@ -1,9 +1,10 @@
-"""Startup cost: numpy loads only when an LP oracle runs.
+"""Startup cost: numpy loads only when an LP oracle runs, OpenSSL never.
 
 Each check runs in a fresh interpreter, since numpy stays in sys.modules
 once anything in the test process has imported it.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,6 +28,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
+
+# Runs cli.main(argv) when argv is non-empty, after `import icx`, then prints
+# whether hashlib's OpenSSL backend was imported.
+_HASHLIB_PROBE = """
+import contextlib, io, json, sys
+import icx
+argv = json.loads(sys.argv[1])
+if argv:
+    from icx import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print("_hashlib" in sys.modules)
+"""
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 PUBLIC_NAMES = [
     "Action", "Additive", "BudgetAdditive", "ConcaveCardinality", "CountingOracle",
@@ -83,6 +99,18 @@ def test_solver_commands_do_not_load_numpy(tmp_path, files, argv):
     inst, scheme = files
     argv = [a.format(inst=inst, scheme=scheme) for a in argv]
     assert _cli(argv, tmp_path) == {"code": 0, "numpy": False}
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in sha256; digests use hashlib")
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve", "{inst}", "--mode", "det"],
+    ["solve", "{inst}", "--mode", "rand"],
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")) or "import")
+def test_digest_does_not_load_openssl(tmp_path, files, argv):
+    inst, _ = files
+    argv = [a.format(inst=inst) for a in argv]
+    assert _python("-c", _HASHLIB_PROBE, json.dumps(argv), cwd=tmp_path).strip() == "False"
 
 
 def test_brute_force_loads_numpy_on_use(tmp_path, files):
