@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 import random
 import threading
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
@@ -248,24 +249,32 @@ class ExplicitTable(SetFunction):
     """v(S) read from a dense table of 2^n values, indexed by bitmask.
 
     The interchange format for cross-checking every other constructor;
-    validated normalized and monotone on load.
+    validated normalized and monotone on load.  The values are held as C
+    doubles (8 bytes each rather than a 32-byte float object), which reads
+    back the same floats.
     """
 
-    values: tuple[float, ...]
+    values: array
 
     def __init__(self, values: Sequence[float], validate: bool = True):
-        vt = tuple(float(x) for x in values)
+        vt = [float(x) for x in values]
         n = (len(vt)).bit_length() - 1
         if len(vt) != (1 << n):
             raise ValueError("table length must be a power of two")
         if validate:
+            # Scanned as float objects: iterating an array would box each one.
             if vt[0] != 0.0:
                 raise ValueError("table not normalized: v(empty) != 0")
             witness = _monotone_violation(vt, n)
             if witness is not None:
                 mask, i = witness
                 raise ValueError(f"table not monotone at S={mask:b}, element {i}")
-        object.__setattr__(self, "values", vt)
+        object.__setattr__(self, "values", array("d", vt))
+
+    def __hash__(self) -> int:
+        # An array is unhashable; hash the values as the tuple they compare
+        # like (so 0.0 and -0.0 hash alike, as == requires).
+        return hash((tuple(self.values),))
 
     @property
     def n(self) -> int:
@@ -275,7 +284,7 @@ class ExplicitTable(SetFunction):
         return self.values[mask]
 
     def table(self) -> list[float]:
-        return list(self.values)
+        return self.values.tolist()
 
 
 @dataclass(frozen=True)

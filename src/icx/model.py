@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .costfn import SetFunction
 
@@ -66,15 +66,14 @@ class Instance:
         ids = [a.id for a in self.actions]
         if len(set(ids)) != len(ids):
             raise ValidationError("action ids must be distinct")
-        by_id = {a.id: a for a in self.actions}
-        if self.null_id not in by_id:
+        index = {j: k for k, j in enumerate(ids)}
+        if self.null_id not in index:
             raise ValidationError(f"null action {self.null_id!r} not among actions")
-        if by_id[self.null_id].cost != 0.0:
+        if self.actions[index[self.null_id]].cost != 0.0:
             raise ValidationError("null action must have zero cost")
         if getattr(self.cost_fn, "n", len(ids)) != len(ids):
             raise ValidationError("cost function ground-set size != number of actions")
-        object.__setattr__(self, "_index", {a.id: i for i, a in enumerate(self.actions)})
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -85,10 +84,7 @@ class Instance:
         return tuple(a.id for a in self.actions)
 
     def action(self, j: ActionId) -> Action:
-        try:
-            return self._by_id[j]
-        except KeyError:
-            raise ValidationError(f"unknown action id {j!r}") from None
+        return self.actions[self.index(j)]
 
     def f(self, j: ActionId) -> float:
         return self.action(j).prob
@@ -97,8 +93,10 @@ class Instance:
         return self.action(j).cost
 
     def index(self, j: ActionId) -> int:
-        self.action(j)
-        return self._index[j]
+        try:
+            return self._index[j]
+        except KeyError:
+            raise ValidationError(f"unknown action id {j!r}") from None
 
     def mask_of(self, ids: Iterable[ActionId]) -> int:
         mask = 0
@@ -233,6 +231,3 @@ def normalize_scheme(inst: Instance, scheme: InspectionScheme) -> InspectionSche
         return scheme
     rest.append((frozenset([i]), singleton_mass))
     return InspectionScheme(i, scheme.alpha, rest)
-
-
-MarginalProfile = Mapping[ActionId, float]

@@ -7,6 +7,15 @@ payment axis and solves an exact LP in the inspection probabilities at each
 candidate payment; the coupling LP minimizes expected cost over all subset
 distributions with prescribed marginals.
 
+Both exhaustive oracles work on action indices and subset bitmasks; ids
+appear only in the schemes they return.  Per suggestion, the deterministic
+oracle settles its exact Fraction IC bounds once and sorts them, so each
+inspected mask reads its smallest IC payment off the first bound it leaves
+uninspected; the randomized oracle builds the LP skeleton (subset masks,
+their costs, the 0/1 constraint matrix) once and recomputes only the
+right-hand side at each payment.  Each mask's cost is queried at most once
+per suggestion.
+
 numpy is imported inside the functions that build or solve an LP, so that
 importing `icx` (and running the solvers) never loads it.
 """
@@ -27,6 +36,7 @@ MAX_LP_VARS = 1 << 12
 MAX_LP_ROWS = 128
 DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
 RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
+COUPLING_LP_MAX_GROUND = 10  # lp_min_cost_given_marginals has 2^|ground| columns
 
 
 # ---------------------------------------------------------------------------
@@ -179,80 +189,122 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _feasible_alpha(inst: Instance, i: ActionId, inspected: frozenset[ActionId]):
-    """Smallest IC payment for deterministic scheme (i, alpha, inspected).
+class _ICBounds:
+    """Exact IC payment bounds of deterministic suggestion k, settled once.
 
-    Exact Fraction reasoning over the IC constraints; returns the minimizing
-    alpha as a Fraction, or None when no alpha in [0, 1] works.
+    With k uninspected, each uninspected deviation j with f(j) < f(k) bounds
+    the payment from below by (c(k) - c(j)) / (f(k) - f(j)), each one with
+    f(j) > f(k) bounds it from above, and one with f(j) == f(k) and
+    c(j) < c(k) rules k out.  The bounds are exact Fractions, sorted once, so
+    the smallest IC payment for an inspected mask is the first lower bound
+    whose action the mask leaves uninspected, if it does not pass the first
+    such upper bound.  A sentinel with bit 0 ends each list: below, the
+    bound c(k)/f(k) that the null action implies (0 when f(k) = c(k) = 0);
+    above, 1.
     """
-    fi, ci = Fraction(inst.f(i)), Fraction(inst.c(i))
-    if i in inspected:
-        # Every deviation is caught, so only individual rationality binds.
-        if ci == 0:
-            return Fraction(0)
-        if fi == 0:
-            return None
-        return ci / fi if ci <= fi else None
 
-    if fi == 0:
-        lb = Fraction(0)
-        if ci > 0:
+    __slots__ = ("bit", "caught", "lower", "upper", "deaths")
+
+    def __init__(self, fs: Sequence[float], cs: Sequence[float], k: int):
+        fi, ci = Fraction(fs[k]), Fraction(cs[k])
+        self.bit = 1 << k
+        # Inspecting k itself catches every deviation: only IR binds.
+        if ci == 0:
+            self.caught = _payment(Fraction(0))
+        elif fi == 0 or ci > fi:
+            self.caught = None
+        else:
+            self.caught = _payment(ci / fi)
+        if fi == 0:
+            base = None if ci > 0 else Fraction(0)
+        else:
+            base = ci / fi
+        lower, upper, deaths = [], [], 0
+        for j in range(len(fs)):
+            if j == k:
+                continue
+            fj, cj = Fraction(fs[j]), Fraction(cs[j])
+            df, dc = fi - fj, ci - cj
+            if df > 0:
+                lower.append((dc / df, 1 << j))
+            elif df < 0:
+                upper.append((dc / df, 1 << j))
+            elif dc > 0:
+                deaths |= 1 << j  # same success probability, strictly cheaper
+        self.deaths = deaths
+        if base is None:
+            self.lower = self.upper = None
+            return
+        self.lower = [(_payment(v), bit) for v, bit in
+                      sorted(((v, bit) for v, bit in lower if v > base), reverse=True)]
+        self.lower.append((_payment(base), 0))
+        self.upper = sorted((v, bit) for v, bit in upper if v < 1)
+        self.upper.append((Fraction(1), 0))
+
+    def payment(self, mask: int):
+        """(exact, float) smallest IC payment with `mask` inspected, or None."""
+        if mask & self.bit:
+            return self.caught
+        if self.lower is None or self.deaths & ~mask:
             return None
-    else:
-        lb = ci / fi  # the null action's constraint implies this bound
-    ub = Fraction(1)
-    for a in inst.actions:
-        j = a.id
-        if j == i or j in inspected:
-            continue
-        fj, cj = Fraction(a.prob), Fraction(a.cost)
-        df, dc = fi - fj, ci - cj
-        if df > 0:
-            lb = max(lb, dc / df)
-        elif df < 0:
-            ub = min(ub, dc / df)
-        elif dc > 0:
-            return None  # same success probability, strictly cheaper deviation
-    if lb > ub:
-        return None
-    return lb
+        for lo, bit in self.lower:
+            if not mask & bit:
+                break
+        for hi, bit in self.upper:
+            if not mask & bit:
+                break
+        return lo if lo[0] <= hi else None
+
+
+def _payment(alpha: Fraction) -> tuple[Fraction, float]:
+    return alpha, float(alpha)
 
 
 def brute_force_deterministic(inst: Instance):
     """Exhaustive (suggestion, inspected set) search; n <= 12.
 
     For each pair, takes the cheapest IC payment and scores the principal's
-    utility; returns (scheme, utility).
+    utility; returns (scheme, utility).  Each mask's cost is queried at most
+    once, and only when some suggestion is IC with it inspected.
     """
     if inst.n > DET_ORACLE_MAX_N:
         raise ValidationError(
             f"deterministic brute force limited to n <= {DET_ORACLE_MAX_N}")
+    fs = [a.prob for a in inst.actions]
+    cs = [a.cost for a in inst.actions]
+    value = inst.cost_fn.value
+    costs: list[float | None] = [None] * (1 << inst.n)
     best = None
-    for a in inst.actions:
-        i = a.id
+    for k, prob in enumerate(fs):
+        bounds = _ICBounds(fs, cs, k)
         for mask in range(1 << inst.n):
-            inspected = inst.ids_of(mask)
-            alpha = _feasible_alpha(inst, i, inspected)
-            if alpha is None or alpha > 1:
+            pay = bounds.payment(mask)
+            if pay is None:
                 continue
-            utility = (1.0 - float(alpha)) * a.prob - inst.cost_fn.value(mask)
-            key = (utility, -len(inspected), -float(alpha), -inst.index(i))
+            alpha = pay[1]
+            cost = costs[mask]
+            if cost is None:
+                cost = costs[mask] = value(mask)
+            utility = (1.0 - alpha) * prob - cost
+            key = (utility, -mask.bit_count(), -alpha, -k)
             if best is None or key > best[0]:
-                best = (key, i, float(alpha), inspected)
-    _, i, alpha, inspected = best
-    return deterministic_scheme(i, alpha, inspected), best[0][0]
+                best = (key, k, alpha, mask)
+    key, k, alpha, mask = best
+    return deterministic_scheme(inst.actions[k].id, alpha, inst.ids_of(mask)), key[0]
 
 
 def no_inspection_best(inst: Instance):
     """Best IC utility when the principal never inspects (plain contracts)."""
+    fs = [a.prob for a in inst.actions]
+    cs = [a.cost for a in inst.actions]
     best = None
-    for a in inst.actions:
-        alpha = _feasible_alpha(inst, a.id, frozenset())
-        if alpha is None or alpha > 1:
+    for k, a in enumerate(inst.actions):
+        pay = _ICBounds(fs, cs, k).payment(0)
+        if pay is None:
             continue
-        utility = (1.0 - float(alpha)) * a.prob
+        utility = (1.0 - pay[1]) * a.prob
         if best is None or utility > best[2]:
-            best = (a.id, float(alpha), utility)
+            best = (a.id, pay[1], utility)
     return best
 
 
@@ -272,8 +324,9 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
     import numpy as np
 
     g = len(ground)
-    if g > 10:
-        raise ValidationError("coupling LP limited to |ground| <= 10")
+    if g > COUPLING_LP_MAX_GROUND:
+        raise ValidationError(
+            f"coupling LP limited to |ground| <= {COUPLING_LP_MAX_GROUND}")
     subsets = [frozenset(e for bit, e in enumerate(ground) if mask & (1 << bit))
                for mask in range(1 << g)]
     costs = np.array([value_of(s) for s in subsets])
@@ -297,46 +350,68 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
 # ---------------------------------------------------------------------------
 
 
-def _marginal_rhs(inst: Instance, i: ActionId, j: ActionId, alpha: float) -> float:
-    return 1.0 - (alpha * inst.f(i) - inst.c(i) + inst.c(j)) / (alpha * inst.f(j))
+class _LPSkeleton:
+    """Suggestion i's inspection LP less its right-hand side.
+
+    Columns are the nonempty subsets of the other actions as index masks, in
+    `itertools.combinations` order, then {i}; rows are the marginal
+    constraints of the other actions with f > 0, then the total mass.  Only
+    the marginal right-hand sides depend on the payment, so one skeleton
+    serves every payment tried for i: each mask's cost is queried once.
+    """
+
+    __slots__ = ("k", "masks", "costs", "A", "senses", "active", "fs", "cs")
+
+    def __init__(self, inst: Instance, k: int):
+        import numpy as np
+
+        self.k = k
+        self.fs = [a.prob for a in inst.actions]
+        self.cs = [a.cost for a in inst.actions]
+        others = [1 << j for j in range(inst.n) if j != k]
+        self.masks = [sum(c) for r in range(1, len(others) + 1)
+                      for c in itertools.combinations(others, r)]
+        value = inst.cost_fn.value
+        self.costs = np.array([value(m) for m in self.masks] + [value(1 << k)])
+        self.active = [j for j in range(inst.n) if j != k and self.fs[j] > 0.0]
+        nvar = len(self.masks) + 1
+        A = np.ones((len(self.active) + 1, nvar))
+        masks = np.array(self.masks, dtype=np.int64)
+        for row, j in enumerate(self.active):
+            A[row, :-1] = (masks >> j) & 1
+        self.A = A
+        self.senses = (">=",) * len(self.active) + ("<=",)
+
+    def rhs(self, alpha: float) -> list[float]:
+        fi, ci, fs, cs = self.fs[self.k], self.cs[self.k], self.fs, self.cs
+        return [1.0 - (alpha * fi - ci + cs[j]) / (alpha * fs[j])
+                for j in self.active] + [1.0]
 
 
-def lp_best_distribution(inst: Instance, i: ActionId, alpha: float):
+def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
+                         skeleton: _LPSkeleton | None = None):
     """Cheapest IC inspection distribution for suggestion i at fixed payment.
 
     LP variables are the probabilities of every nonempty subset avoiding i,
     plus the probability of inspecting {i} alone; the leftover mass inspects
     nothing.  Returns (scheme, total principal cost alpha*f(i) + E[v]), or
-    (None, inf) when infeasible.
+    (None, inf) when infeasible.  `skeleton` is i's `_LPSkeleton`, built
+    here when not given; alpha must lie in (0, 1].
     """
     import numpy as np
 
-    others = [a.id for a in inst.actions if a.id != i]
-    active = [j for j in others if inst.f(j) > 0.0]
-    subsets = []
-    for r in range(1, len(others) + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(others, r))
-    nvar = len(subsets) + 1  # final column: probability of inspecting {i}
-    costs = np.array([inst.inspection_cost(s) for s in subsets]
-                     + [inst.inspection_cost([i])])
-    rows, senses, b = [], [], []
-    for j in active:
-        row = np.zeros(nvar)
-        for col, s in enumerate(subsets):
-            if j in s:
-                row[col] = 1.0
-        row[-1] = 1.0
-        rows.append(row)
-        senses.append(">=")
-        b.append(_marginal_rhs(inst, i, j, alpha))
-    rows.append(np.ones(nvar))
-    senses.append("<=")
-    b.append(1.0)
-    lp = LinearProgram(costs, np.array(rows), tuple(senses), np.array(b))
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"LP oracle needs a payment in (0, 1], got {alpha}")
+    if skeleton is None:
+        skeleton = _LPSkeleton(inst, inst.index(i))
+    lp = LinearProgram(skeleton.costs, skeleton.A, skeleton.senses,
+                       np.array(skeleton.rhs(alpha)))
     status, x, value = simplex_solve(lp)
     if status != "optimal":
         return None, math.inf
-    dist = [(s, float(x[col])) for col, s in enumerate(subsets) if x[col] > 1e-12]
+    masks = skeleton.masks
+    dist = [(inst.ids_of(masks[col]), float(x[col]))
+            for col in range(len(masks)) if x[col] > 1e-12]
     p_i = float(x[-1])
     if p_i > 1e-12:
         dist.append((frozenset([i]), p_i))
@@ -348,7 +423,7 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float):
         total = sum(p for _, p in dist)
     dist.append((frozenset(), max(0.0, 1.0 - total)))
     scheme = InspectionScheme(i, alpha, dist)
-    return scheme, alpha * inst.f(i) + float(value)
+    return scheme, alpha * skeleton.fs[skeleton.k] + float(value)
 
 
 def _golden_minimize(fun, lo: float, hi: float, iters: int = 40):
@@ -395,7 +470,7 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
         if scheme is not None and (best is None or utility > best[0] + 1e-15):
             best = (utility, scheme)
 
-    for a in inst.actions:
+    for k, a in enumerate(inst.actions):
         i = a.id
         if a.cost == 0.0:
             consider(a.prob, InspectionScheme(i, 0.0, [(frozenset(), 1.0)]))
@@ -411,10 +486,11 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
         grid = sorted(min(1.0, max(lo, c)) for c in cands)
 
         evaluated = {}
+        skeleton = _LPSkeleton(inst, k)
 
-        def total_cost(alpha, i=i):
+        def total_cost(alpha, i=i, skeleton=skeleton):
             if alpha not in evaluated:
-                evaluated[alpha] = lp_best_distribution(inst, i, alpha)
+                evaluated[alpha] = lp_best_distribution(inst, i, alpha, skeleton=skeleton)
             return evaluated[alpha][1]
 
         values = [total_cost(alpha) for alpha in grid]
@@ -449,8 +525,8 @@ def deterministic_non_ic_best(inst: Instance):
     principal's favor.  Covers non-IC play: the scored response need not be
     the suggestion.
     """
-    if inst.n > 12:
-        raise ValidationError("non-IC enumeration limited to n <= 12")
+    if inst.n > DET_ORACLE_MAX_N:
+        raise ValidationError(f"non-IC enumeration limited to n <= {DET_ORACLE_MAX_N}")
     best = -math.inf
     for a in inst.actions:
         j = a.id

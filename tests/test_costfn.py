@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from icx.costfn import (Additive, BudgetAdditive, ConcaveCardinality,
                         XOSClauses, check_monotone, check_submodular,
                         check_xos_pointwise, demand_default)
 from icx.families import VTCost, random_hard_params
+from icx.model import Action, Instance
+from icx.serialization import instance_digest, instance_to_json
 from conftest import random_monotone_table, random_submodular_fn
 
 
@@ -51,6 +54,39 @@ class TestConstructors:
         fn = XOSClauses([[1.0, 0.0], [0.0, 2.0]])
         assert fn.value(0b01) == 1.0
         assert fn.value(0b11) == 2.0
+
+
+class TestExplicitTableStorage:
+    VALUES = [0.0, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5]
+
+    def test_value_semantics(self):
+        fn = ExplicitTable(self.VALUES)
+        same = ExplicitTable(tuple(self.VALUES))
+        assert fn == same and hash(fn) == hash(same)
+        assert fn != ExplicitTable(self.VALUES[:-1] + [0.75])
+        assert hash(ExplicitTable([0.0, 0.0])) == hash(ExplicitTable([-0.0, 0.0]))
+        back = pickle.loads(pickle.dumps(fn))
+        assert back == fn and hash(back) == hash(fn)
+        assert {fn: 1}[back] == 1
+        table = fn.table()
+        assert table == self.VALUES and all(type(v) is float for v in table)
+        assert all(type(fn.value(m)) is float for m in range(8))
+        assert fn.values.itemsize == 8  # stored as C doubles, not float objects
+
+    def test_instance_digest_unchanged(self):
+        # Digests recorded when the table was still a tuple of floats.
+        inst = Instance((Action("bot", 0.0, 0.25), Action("a", 0.125, 0.5),
+                         Action("b", 0.3, 0.875)), "bot", ExplicitTable(self.VALUES))
+        assert hash(inst) == hash(Instance(inst.actions, "bot", ExplicitTable(self.VALUES)))
+        assert instance_digest(instance_to_json(inst)) == \
+            "766fbcf5aabd9537e27c9e5419269f21722278cd9d729b1eceef5ca3cef11b6f"
+        n = 13
+        actions = tuple([Action("bot", 0.0, 0.0)]
+                        + [Action(f"a{k}", k / 16, k / 13) for k in range(1, n)])
+        vals = [sum((k + 1) / 7 for k in range(n) if m >> k & 1) / 3 for m in range(1 << n)]
+        big = Instance(actions, "bot", ExplicitTable(vals))
+        assert instance_digest(instance_to_json(big)) == \
+            "2acb812f20ed6879ba23381aa2116a890c8c1e6099301fd8b7539ce5e75dc2c4"
 
 
 class TestCheckers:

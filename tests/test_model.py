@@ -29,6 +29,16 @@ class TestValidation:
         assert a.id is Action("a7", 0.2, 0.6).id
         assert a == Action("a7", 0.1, 0.5)
 
+    def test_instance_id_lookups(self):
+        inst = gen_intro_example()
+        for k, a in enumerate(inst.actions):
+            assert inst.index(a.id) == k
+            assert inst.action(a.id) is a
+        for lookup in (inst.index, inst.action, inst.f, inst.c):
+            with pytest.raises(ValidationError, match="unknown action id 'zzz'"):
+                lookup("zzz")
+        assert inst == gen_intro_example() and hash(inst) == hash(gen_intro_example())
+
     def test_instance_needs_null(self):
         with pytest.raises(ValidationError):
             Instance((Action("a", 0.1, 0.5),), "bot", costfn.Additive([1.0]))

@@ -1,18 +1,21 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icx import costfn
+from icx import costfn, oracle
 from icx.deterministic import solve_deterministic
 from icx.families import gen_gap_instance, gen_intro_example, gen_nonic_example
-from icx.model import ValidationError, is_IC
+from icx.model import (InspectionScheme, ValidationError, deterministic_scheme,
+                       is_IC)
 from icx.oracle import (LinearProgram, brute_force_deterministic,
                         brute_force_randomized, deterministic_non_ic_best,
                         lp_best_distribution, lp_min_cost_given_marginals,
                         no_inspection_best, simplex_solve)
-from conftest import random_instance, random_marginals
+from conftest import GRID, random_instance, random_marginals
 
 
 class TestSimplex:
@@ -203,6 +206,13 @@ class TestRandomizedBruteForce:
                     assert scheme is not None
                     assert is_IC(inst, scheme, 1e-7)
 
+    def test_payment_outside_unit_interval_rejected(self):
+        inst = gen_intro_example()
+        for alpha in (0.0, -0.25, 1.5, math.nan):
+            with pytest.raises(ValidationError, match="payment in"):
+                lp_best_distribution(inst, "g", alpha)
+        assert lp_best_distribution(inst, "g", 1.0)[0] is not None
+
 
 class TestNonICDeterministic:
     def test_nonic_example_has_no_deterministic_advantage(self):
@@ -215,3 +225,186 @@ class TestNonICDeterministic:
             inst = random_instance(rng, rng.randint(2, 4))
             _, ic_opt = brute_force_deterministic(inst)
             assert deterministic_non_ic_best(inst) <= ic_opt + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Index-native oracles against the id-set formulations they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_feasible_alpha(inst, i, inspected):
+    """Smallest IC payment for (i, alpha, inspected), pair by pair in Fractions."""
+    fi, ci = Fraction(inst.f(i)), Fraction(inst.c(i))
+    if i in inspected:
+        if ci == 0:
+            return Fraction(0)
+        if fi == 0:
+            return None
+        return ci / fi if ci <= fi else None
+    if fi == 0:
+        lb = Fraction(0)
+        if ci > 0:
+            return None
+    else:
+        lb = ci / fi
+    ub = Fraction(1)
+    for a in inst.actions:
+        j = a.id
+        if j == i or j in inspected:
+            continue
+        fj, cj = Fraction(a.prob), Fraction(a.cost)
+        df, dc = fi - fj, ci - cj
+        if df > 0:
+            lb = max(lb, dc / df)
+        elif df < 0:
+            ub = min(ub, dc / df)
+        elif dc > 0:
+            return None
+    if lb > ub:
+        return None
+    return lb
+
+
+def _ref_brute_force_deterministic(inst):
+    best = None
+    for a in inst.actions:
+        i = a.id
+        for mask in range(1 << inst.n):
+            inspected = inst.ids_of(mask)
+            alpha = _ref_feasible_alpha(inst, i, inspected)
+            if alpha is None or alpha > 1:
+                continue
+            utility = (1.0 - float(alpha)) * a.prob - inst.cost_fn.value(mask)
+            key = (utility, -len(inspected), -float(alpha), -inst.index(i))
+            if best is None or key > best[0]:
+                best = (key, i, float(alpha), inspected)
+    _, i, alpha, inspected = best
+    return deterministic_scheme(i, alpha, inspected), best[0][0]
+
+
+def _ref_no_inspection_best(inst):
+    best = None
+    for a in inst.actions:
+        alpha = _ref_feasible_alpha(inst, a.id, frozenset())
+        if alpha is None or alpha > 1:
+            continue
+        utility = (1.0 - float(alpha)) * a.prob
+        if best is None or utility > best[2]:
+            best = (a.id, float(alpha), utility)
+    return best
+
+
+def _ref_lp_best_distribution(inst, i, alpha):
+    """The inspection LP built per call from id sets, column by column."""
+    others = [a.id for a in inst.actions if a.id != i]
+    active = [j for j in others if inst.f(j) > 0.0]
+    subsets = []
+    for r in range(1, len(others) + 1):
+        subsets.extend(frozenset(c) for c in itertools.combinations(others, r))
+    nvar = len(subsets) + 1
+    costs = np.array([inst.inspection_cost(s) for s in subsets]
+                     + [inst.inspection_cost([i])])
+    rows, senses, b = [], [], []
+    for j in active:
+        row = np.zeros(nvar)
+        for col, s in enumerate(subsets):
+            if j in s:
+                row[col] = 1.0
+        row[-1] = 1.0
+        rows.append(row)
+        senses.append(">=")
+        b.append(1.0 - (alpha * inst.f(i) - inst.c(i) + inst.c(j)) / (alpha * inst.f(j)))
+    rows.append(np.ones(nvar))
+    senses.append("<=")
+    b.append(1.0)
+    status, x, value = simplex_solve(
+        LinearProgram(costs, np.array(rows), tuple(senses), np.array(b)))
+    if status != "optimal":
+        return None, math.inf
+    dist = [(s, float(x[col])) for col, s in enumerate(subsets) if x[col] > 1e-12]
+    p_i = float(x[-1])
+    if p_i > 1e-12:
+        dist.append((frozenset([i]), p_i))
+    total = sum(p for _, p in dist)
+    if total > 1.0:
+        dist = [(s, p / total) for s, p in dist]
+        total = sum(p for _, p in dist)
+    dist.append((frozenset(), max(0.0, 1.0 - total)))
+    return InspectionScheme(i, alpha, dist), alpha * inst.f(i) + float(value)
+
+
+def _battery(count=420):
+    """Seeded instances, n = 1..7: grid ties, free and f = 0 actions, every cost type."""
+    rng = random.Random(20240617)
+    return [random_instance(rng, 1 + t % 7, fn_kind="table" if t % 2 else "submodular")
+            for t in range(count)]
+
+
+def _answer(result):
+    scheme, utility = result
+    if scheme is None:
+        return None, utility
+    return scheme.suggested, scheme.alpha, scheme.distribution, utility
+
+
+class TestIndexNativeOracles:
+    def test_battery_covers_degenerate_inputs(self):
+        insts = _battery()
+        actions = [a for inst in insts for a in inst.actions if a.id != inst.null_id]
+        assert {inst.n for inst in insts} == set(range(1, 8))
+        assert sum(a.cost == 0.0 for a in actions) >= 100
+        assert sum(a.prob == 0.0 for a in actions) >= 50
+        assert sum(a.prob in GRID for a in actions) >= 500
+        kinds = {type(inst.cost_fn).__name__ for inst in insts}
+        assert kinds == {"ExplicitTable", "Additive", "BudgetAdditive",
+                         "WeightedCoverage", "ConcaveCardinality"}
+
+    def test_ic_bounds_match_reference_per_pair(self):
+        for inst in _battery():
+            fs = [a.prob for a in inst.actions]
+            cs = [a.cost for a in inst.actions]
+            for k, a in enumerate(inst.actions):
+                bounds = oracle._ICBounds(fs, cs, k)
+                for mask in range(1 << inst.n):
+                    ref = _ref_feasible_alpha(inst, a.id, inst.ids_of(mask))
+                    if ref is not None and ref > 1:
+                        ref = None
+                    pay = bounds.payment(mask)
+                    assert pay == (None if ref is None else (ref, float(ref)))
+
+    def test_deterministic_matches_reference(self):
+        for inst in _battery():
+            counted = costfn.CountingOracle(inst.cost_fn)
+            got = brute_force_deterministic(inst.with_cost_fn(counted))
+            assert _answer(got) == _answer(_ref_brute_force_deterministic(inst))
+            assert counted.value_queries <= 1 << inst.n  # each mask at most once
+            assert no_inspection_best(inst) == _ref_no_inspection_best(inst)
+
+    def test_lp_matches_reference_at_fixed_payments(self):
+        rng = random.Random(7)
+        for inst in _battery():
+            for k, a in enumerate(inst.actions):
+                # A grid payment (ties), an arbitrary one, 1 and the break-even.
+                alphas = [rng.choice(GRID[1:]), rng.uniform(1e-3, 1.0), 1.0]
+                if 0.0 < a.cost <= a.prob:
+                    alphas.append(a.cost / a.prob)
+                counted = costfn.CountingOracle(inst.cost_fn)
+                skeleton = oracle._LPSkeleton(inst.with_cost_fn(counted), k)
+                refs = [_answer(_ref_lp_best_distribution(inst, a.id, alpha))
+                        for alpha in alphas]
+                for alpha, ref in zip(alphas, refs):
+                    assert _answer(lp_best_distribution(
+                        inst, a.id, alpha, skeleton=skeleton)) == ref
+                # One query per mask, when the skeleton is built; none per payment.
+                assert counted.value_queries == 1 << (inst.n - 1)
+                assert _answer(lp_best_distribution(inst, a.id, alphas[0])) == refs[0]
+
+    def test_randomized_matches_reference(self, monkeypatch):
+        insts = _battery()
+        got = [_answer(brute_force_randomized(inst, alpha_resolution=0.02))
+               for inst in insts]
+        monkeypatch.setattr(oracle, "lp_best_distribution",
+                            lambda inst, i, alpha, skeleton=None:
+                            _ref_lp_best_distribution(inst, i, alpha))
+        for inst, answer in zip(insts, got):
+            assert answer == _answer(brute_force_randomized(inst, alpha_resolution=0.02))
