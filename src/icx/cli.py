@@ -302,10 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # One parser per process: parsing leaves no state in it, so reusing it
+    # is invisible, and building one costs more than a small command does.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # Looked up now, not bound when the parser was built.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except serialization.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ compare whole slices of it at C speed.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import threading
@@ -27,8 +28,7 @@ from typing import Sequence
 EQ_TOL = 1e-12
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+popcount = int.bit_count
 
 
 def bits(mask: int):
@@ -111,6 +111,8 @@ def demand_default(fn: SetFunction, prices: Sequence[float], n: int) -> int:
 
 def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
     w = tuple(float(x) for x in weights)
+    if not all(map(math.isfinite, w)):
+        raise ValueError("weights must be finite")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
     return w
@@ -154,6 +156,8 @@ class BudgetAdditive(SetFunction):
 
     def __init__(self, weights: Sequence[float], cap: float):
         object.__setattr__(self, "weights", _check_weights(weights))
+        if not math.isfinite(cap):
+            raise ValueError("cap must be finite")
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         object.__setattr__(self, "cap", float(cap))
@@ -221,6 +225,8 @@ class ConcaveCardinality(SetFunction):
 
     def __init__(self, g: Sequence[float]):
         gt = tuple(float(x) for x in g)
+        if not all(map(math.isfinite, gt)):
+            raise ValueError("cardinality table must be finite")
         if not gt or gt[0] != 0.0:
             raise ValueError("cardinality table must start at g[0] = 0")
         diffs = [gt[i + 1] - gt[i] for i in range(len(gt) - 1)]
@@ -249,7 +255,7 @@ class ExplicitTable(SetFunction):
     """v(S) read from a dense table of 2^n values, indexed by bitmask.
 
     The interchange format for cross-checking every other constructor;
-    validated normalized and monotone on load.  The values are held as C
+    validated finite, normalized and monotone on load.  The values are held as C
     doubles (8 bytes each rather than a 32-byte float object), which reads
     back the same floats.
     """
@@ -263,6 +269,8 @@ class ExplicitTable(SetFunction):
             raise ValueError("table length must be a power of two")
         if validate:
             # Scanned as float objects: iterating an array would box each one.
+            if not all(map(math.isfinite, vt)):
+                raise ValueError("table values must be finite")
             if vt[0] != 0.0:
                 raise ValueError("table not normalized: v(empty) != 0")
             witness = _monotone_violation(vt, n)

@@ -9,14 +9,15 @@ inspected set is forced: exactly the actions the agent would strictly prefer
 if left uninspected.
 
 Set membership uses strict inequalities on the input values.  Since every
-binary float is an exact rational, the comparisons are done in Fraction
-arithmetic: no tolerance, no boundary ambiguity.
+binary float is an exact rational, the comparisons are done exactly, on
+integers over one common denominator: no tolerance, no boundary ambiguity.
+The solver works on action indices and bitmasks; ids appear only in the
+candidates it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (ActionId, InspectionScheme, Instance, ValidationError,
                     deterministic_scheme, is_IC)
@@ -38,9 +39,52 @@ class DetCandidate:
         return deterministic_scheme(self.suggested, self.alpha, self.inspected)
 
 
-def _crit(ci: Fraction, cj: Fraction, fi: Fraction, fj: Fraction) -> Fraction:
-    """Payment equalizing the agent's utility between i and an uninspected j."""
-    return (ci - cj) / (fi - fj)
+def _scaled(inst: Instance) -> list[tuple[int, int]]:
+    """Every action's (cost, prob) as integers over one common denominator.
+
+    A binary float is m / 2^e exactly, so scaling all of them by the largest
+    2^e gives integers with the same ratios.  Each is settled once per solve;
+    a ratio of differences of them is then compared with another by
+    cross-multiplying, with no rounding anywhere.
+    """
+    ratios = [(a.cost.as_integer_ratio(), a.prob.as_integer_ratio()) for a in inst.actions]
+    den = max(d for pair in ratios for _, d in pair)
+    return [(nc * (den // dc), nf * (den // df)) for (nc, dc), (nf, df) in ratios]
+
+
+def _suggestion_sets(scaled: list[tuple[int, int]], i: int):
+    """Index-native `candidate_sets` for action index i, which needs f(i) > c(i) > 0.
+
+    Returns (S_i, pairs) with S_i a bitmask and pairs = [(j, p, q, S_ij)]
+    for j in A_i in ascending index order, where crit(i, j) = p / q with
+    q > 0 and S_ij is a bitmask.
+    """
+    ci, fi = scaled[i]
+    s_mask = 0
+    rivals = []  # (j, p, q) for j in A_i
+    higher = []  # (bit, c(h) - c(i), f(h) - f(i)) for h != i with f(h) >= f(i)
+    for k, (ck, fk) in enumerate(scaled):
+        if k == i:
+            continue
+        # At the break-even payment c(i)/f(i), an uninspected k pays the
+        # agent strictly more than i exactly when c(k) f(i) < c(i) f(k).
+        if ck * fi < ci * fk:
+            s_mask |= 1 << k
+            if fk < fi:
+                rivals.append((k, ci - ck, fi - fk))
+        if fk >= fi:
+            higher.append((1 << k, ck - ci, fk - fi))
+    pairs = []
+    for j, p, q in rivals:
+        mask = 0
+        for k, pk, qk in rivals:
+            if pk * q > p * qk:  # crit(i, k) > crit(i, j)
+                mask |= 1 << k
+        for bit, dc, df in higher:
+            if p * df > dc * q:  # crit(i, j) (f(h) - f(i)) > c(h) - c(i)
+                mask |= bit
+        pairs.append((j, p, q, mask))
+    return s_mask, pairs
 
 
 def candidate_sets(inst: Instance, i: ActionId):
@@ -51,35 +95,13 @@ def candidate_sets(inst: Instance, i: ActionId):
     must be inspected at payment c(i)/f(i); S_ij what must be inspected at
     the critical payment for j in A_i.
     """
-    fi, ci = Fraction(inst.f(i)), Fraction(inst.c(i))
-    if not fi > ci > 0:
+    a = inst.action(i)
+    if not a.prob > a.cost > 0:
         raise ValidationError(f"candidate_sets requires f({i}) > c({i}) > 0")
-    break_even = ci / fi
-
-    others = [a.id for a in inst.actions if a.id != i]
-    fr = {j: (Fraction(inst.c(j)), Fraction(inst.f(j))) for j in others}
-
-    A_i = {
-        j for j in others
-        if fr[j][1] < fi and _crit(ci, fr[j][0], fi, fr[j][1]) > break_even
-    }
-    S_i = A_i | {
-        j for j in others
-        if fr[j][1] >= fi and fr[j][1] * break_even > fr[j][0]
-    }
-    S_ij: dict[ActionId, frozenset[ActionId]] = {}
-    for j in sorted(A_i, key=inst.index):
-        crit_j = _crit(ci, fr[j][0], fi, fr[j][1])
-        low = {
-            jp for jp in A_i
-            if _crit(ci, fr[jp][0], fi, fr[jp][1]) > crit_j
-        }
-        high = {
-            jp for jp in others
-            if fr[jp][1] >= fi and crit_j * (fr[jp][1] - fi) > fr[jp][0] - ci
-        }
-        S_ij[j] = frozenset(low | high)
-    return frozenset(A_i), frozenset(S_i), S_ij
+    s_mask, pairs = _suggestion_sets(_scaled(inst), inst.index(i))
+    ids = inst.ids
+    S_ij = {ids[j]: inst.ids_of(mask) for j, _, _, mask in pairs}
+    return frozenset(S_ij), inst.ids_of(s_mask), S_ij
 
 
 def solve_deterministic(inst: Instance):
@@ -90,45 +112,43 @@ def solve_deterministic(inst: Instance):
     queries (one per distinct inspected set per suggestion, via a per-solve
     memo).
     """
+    actions, ids = inst.actions, inst.ids
+    value = inst.cost_fn.value
     memo: dict[int, float] = {0: 0.0}
-
-    def v(ids: frozenset[ActionId]) -> float:
-        mask = inst.mask_of(ids)
-        if mask not in memo:
-            memo[mask] = inst.cost_fn.value(mask)
-        return memo[mask]
-
+    id_sets: dict[int, frozenset[ActionId]] = {0: frozenset()}
     candidates: list[DetCandidate] = []
+    keys = []  # the ranking key of each candidate, in the same order
 
-    free = [a for a in inst.actions if a.cost == 0.0]
-    best_free = max(free, key=lambda a: (a.prob, -inst.index(a.id)))
-    candidates.append(DetCandidate(best_free.id, 0.0, frozenset(), best_free.prob, "zero_cost"))
+    def add(i: int, alpha: float, mask: int, provenance: str) -> None:
+        if mask not in memo:
+            memo[mask] = value(mask)
+            id_sets[mask] = inst.ids_of(mask)
+        utility = (1.0 - alpha) * actions[i].prob - memo[mask]
+        candidates.append(DetCandidate(ids[i], alpha, id_sets[mask],
+                                       utility, provenance))
+        keys.append((utility, -mask.bit_count(), -alpha, -i))
 
-    for a in inst.actions:
-        i = a.id
+    free_prob, neg_k = max((a.prob, -k) for k, a in enumerate(actions) if a.cost == 0.0)
+    candidates.append(DetCandidate(ids[-neg_k], 0.0, frozenset(), free_prob, "zero_cost"))
+    keys.append((free_prob, 0, -0.0, neg_k))
+
+    scaled = _scaled(inst)
+    for i, a in enumerate(actions):
         if not a.prob > a.cost > 0.0:
             continue
-        A_i, S_i, S_ij = candidate_sets(inst, i)
-        break_even = Fraction(a.cost) / Fraction(a.prob)
-        alpha0 = float(break_even)
-        candidates.append(DetCandidate(
-            i, alpha0, frozenset([i]), (1.0 - alpha0) * a.prob - v(frozenset([i])),
-            "self_inspect"))
-        candidates.append(DetCandidate(
-            i, alpha0, S_i, (1.0 - alpha0) * a.prob - v(S_i), "full_set"))
-        for j in sorted(A_i, key=inst.index):
-            crit = _crit(Fraction(a.cost), Fraction(inst.c(j)),
-                         Fraction(a.prob), Fraction(inst.f(j)))
-            if crit > 1:
-                # No valid payment can leave j uninspected; the schemes this
-                # candidate would dominate do not exist.
+        s_mask, pairs = _suggestion_sets(scaled, i)
+        ci, fi = scaled[i]
+        alpha0 = ci / fi  # int / int rounds the exact ratio correctly
+        add(i, alpha0, 1 << i, "self_inspect")
+        add(i, alpha0, s_mask, "full_set")
+        for j, p, q, mask in pairs:
+            if p > q:
+                # crit > 1: no valid payment can leave j uninspected; the
+                # schemes this candidate would dominate do not exist.
                 continue
-            alpha = float(crit)
-            candidates.append(DetCandidate(
-                i, alpha, S_ij[j], (1.0 - alpha) * a.prob - v(S_ij[j]), f"pair_set:{j}"))
+            add(i, p / q, mask, f"pair_set:{ids[j]}")
 
-    best = max(candidates,
-               key=lambda c: (c.utility, -len(c.inspected), -c.alpha, -inst.index(c.suggested)))
+    best = candidates[max(range(len(keys)), key=keys.__getitem__)]
     if not is_IC(inst, best.scheme(), IC_ASSERT_TOL):
         raise AssertionError(
             f"solver bug: returned candidate {best} fails the IC check")

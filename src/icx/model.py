@@ -12,6 +12,7 @@ All types are immutable value objects; the operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -40,6 +41,8 @@ class Action:
         # keeps one string per name however many actions carry it.
         if type(self.id) is str:
             object.__setattr__(self, "id", sys.intern(self.id))
+        if not math.isfinite(self.cost):
+            raise ValidationError(f"action {self.id!r}: cost must be finite")
         if self.cost < 0:
             raise ValidationError(f"action {self.id!r}: cost must be nonnegative")
         if not 0.0 <= self.prob <= 1.0:

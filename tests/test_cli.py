@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from icx import costfn
+from icx import cli, costfn
 from icx.cli import main
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import deterministic_scheme
@@ -96,6 +96,28 @@ class TestSolve:
         assert main(["solve", "--mode", "det", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "parse error: could not convert string to float: 'abc'\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["cost", "table", "weights", "cap", "cardinality"])
+    def test_non_finite_number_exit_3(self, capsys, tmp_path, where, value):
+        doc = instance_to_json(gen_intro_example())
+        if where == "cost":
+            doc["actions"][1]["cost"] = value
+        elif where == "table":
+            doc["cost_fn"] = {"type": "table", "values": [0.0] + [value] + [1.0] * 6}
+        elif where == "weights":
+            doc["cost_fn"] = {"type": "additive", "weights": {"b": value}}
+        elif where == "cap":
+            doc["cost_fn"] = {"type": "budget_additive", "weights": {"b": 0.5}, "cap": value}
+        else:
+            doc["cost_fn"] = {"type": "concave_cardinality", "table": [0.0, 0.5, value, 1.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity bare
+        assert main(["solve", "--mode", "det", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: ") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_negative_cost_still_exit_3(self, capsys, tmp_path):
         doc = instance_to_json(gen_intro_example())
@@ -305,3 +327,64 @@ class TestCheckCostfn:
         assert doc["monotone"] is True
         assert doc["submodular"] is False
         assert doc["submodular_witness"] is not None
+
+
+class TestParserReuse:
+    def _calls(self, tmp_path, intro_file):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scheme_to_json(
+            deterministic_scheme("g", 0.35, frozenset(["g"])))))
+        hard = str(tmp_path / "hard.json")
+        return [
+            ["solve", "--mode", "det", intro_file],
+            ["solve", "--mode", "rand", intro_file, "--timing"],
+            ["eval", intro_file, str(spath), "--tol", "0.5"],
+            ["eval", intro_file, str(spath)],
+            ["gen", "--family", "intro"],
+            ["gen", "--family", "xos-hard", "--k", "7", "--seed", "3", "--out", hard],
+            ["check-costfn", hard],
+            ["brute-force", "--mode", "det", intro_file],
+            ["compare", "--mode", "det", intro_file],
+            ["solve", "--mode", "sideways", intro_file],
+            ["solve", "--mode", "det", str(tmp_path / "missing.json")],
+            ["solve", "--mode", "rand", hard],
+            ["solve", "--mode", "det", hard],
+        ]
+
+    def _run_all(self, capsys, monkeypatch, calls, fresh):
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", cli.build_parser())
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            if "--timing" in argv:
+                out = json.loads(out)
+                out.pop("wall_clock_sec")
+            written = None
+            if "--out" in argv:
+                with open(argv[argv.index("--out") + 1]) as fh:
+                    written = fh.read()
+            results.append((argv, code, out, err, written))
+        return results
+
+    def test_reused_parser_matches_fresh_parser(self, capsys, monkeypatch, tmp_path,
+                                                intro_file):
+        calls = self._calls(tmp_path, intro_file)
+        reused = self._run_all(capsys, monkeypatch, calls, fresh=False)
+        fresh = self._run_all(capsys, monkeypatch, calls, fresh=True)
+        assert reused == fresh
+        codes = [code for _, code, *_ in reused]
+        assert codes == [0] * 9 + [("SystemExit", 2), 2, 4, 0]
+
+    def test_patched_command_reached_after_first_call(self, capsys, monkeypatch,
+                                                      intro_file):
+        assert main(["solve", "--mode", "det", intro_file]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.mode) or 17)
+        assert main(["solve", "--mode", "rand", intro_file]) == 17
+        assert seen == ["rand"]

@@ -50,6 +50,25 @@ class TestConstructors:
         with pytest.raises(ValueError):
             ExplicitTable([0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda x: Additive([0.5, x]),
+        lambda x: BudgetAdditive([0.5, x], 1.0),
+        lambda x: BudgetAdditive([0.5, 0.5], x),
+        lambda x: WeightedCoverage(2, [0b01, 0b10], [0.5, x]),
+        lambda x: ConcaveCardinality([0.0, 0.5, x]),
+        lambda x: ExplicitTable([0.0, x, 0.5, 1.0]),
+        lambda x: XOSClauses([[0.5, x]]),
+    ], ids=["additive", "budget_weights", "budget_cap", "coverage", "concave",
+            "table", "xos"])
+    def test_non_finite_numbers_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+    def test_popcount_is_bit_count(self):
+        for mask in (0, 1, 0b1011, (1 << 30) - 1, 1 << 40):
+            assert costfn.popcount(mask) == bin(mask).count("1")
+
     def test_xos_is_pointwise_max(self):
         fn = XOSClauses([[1.0, 0.0], [0.0, 2.0]])
         assert fn.value(0b01) == 1.0

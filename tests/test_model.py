@@ -19,6 +19,11 @@ class TestValidation:
             Action("a", -0.1, 0.5)
         with pytest.raises(ValidationError):
             Action("a", 0.1, 1.5)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                Action("a", bad, 0.5)
+            with pytest.raises(ValidationError):
+                Action("a", 0.1, bad)
 
     def test_action_is_compact(self):
         # Instances are held by the thousand (generated families, batch
