@@ -39,7 +39,7 @@ def intro_section():
     rand = solve_randomized(inst)
     line("best randomized inspection", f"{rand.utility:.12f}", "= 71/120")
     _, oracle = brute_force_randomized(inst, alpha_resolution=1e-3)
-    line("LP-grid oracle cross-check", f"{oracle:.12f}")
+    line("LP oracle cross-check", f"{oracle:.12f}")
     print("  note: the often-quoted 17/28 for this instance assumes the scheme")
     print("  (g, 7/20, inspect {g} w.p. 3/7), which is not IC here: opting out")
     print("  pays the agent 1/50 > 0. The verified optimum is 71/120.")

@@ -24,7 +24,6 @@ from .costfn import CountingOracle, ExplicitTable, check_monotone, check_submodu
 from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
                     best_responses, is_IC, principal_utility)
 
-DEFAULT_ALPHA_GRID = 1e-4
 RAND_COMPARE_TOL = 1e-4
 
 
@@ -49,7 +48,7 @@ def _tol(args) -> float:
 def _alpha_grid(args) -> float:
     if getattr(args, "alpha_grid", None) is not None:
         return args.alpha_grid
-    return _env_float("ICX_ALPHA_GRID", DEFAULT_ALPHA_GRID)
+    return _env_float("ICX_ALPHA_GRID", oracle.ALPHA_RESOLUTION)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", choices=["det", "rand"], required=True)
     p.add_argument("--alpha-grid", type=float, default=None,
-                   help="payment grid step (default env ICX_ALPHA_GRID or 1e-4)")
+                   help="payment grid step (default env ICX_ALPHA_GRID or 1e-2)")
     p.set_defaults(func=cmd_brute_force)
 
     p = sub.add_parser("compare", help="solver vs oracle diff report")

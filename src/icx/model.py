@@ -137,6 +137,8 @@ class InspectionScheme:
             raise ValidationError("alpha must be in [0, 1]")
         seen = set()
         for s, p in dist:
+            if not math.isfinite(p):
+                raise ValidationError(f"probability {p} on {sorted(s)} is not finite")
             if p < -DIST_TOL:
                 raise ValidationError(f"negative probability {p} on {sorted(s)}")
             if s in seen:
@@ -204,8 +206,8 @@ def expected_inspection_cost(inst: Instance, scheme: InspectionScheme) -> float:
 def best_responses(inst: Instance, scheme: InspectionScheme,
                    tol: float = DEFAULT_TOL) -> set[ActionId]:
     """All actions whose agent utility is within tol of the maximum."""
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
     utilities = {a.id: agent_utility(inst, scheme, a.id) for a in inst.actions}
     top = max(utilities.values())
     return {j for j, u in utilities.items() if u >= top - tol}

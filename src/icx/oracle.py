@@ -4,8 +4,11 @@ Everything here exists to verify the fast solvers, so it favors transparent
 exhaustive computation over cleverness: the deterministic oracle enumerates
 every (suggestion, inspected set) pair; the randomized oracle searches the
 payment axis and solves an exact LP in the inspection probabilities at each
-candidate payment; the coupling LP minimizes expected cost over all subset
-distributions with prescribed marginals.
+payment it tries; the coupling LP minimizes expected cost over all subset
+distributions with prescribed marginals.  Nothing here is imported from the
+solvers: the payment search rests only on the convexity of each
+suggestion's total cost in 1/alpha, so a uniform grid need only bracket the
+minimum that golden section then polishes.
 
 Both exhaustive oracles work on action indices and subset bitmasks; ids
 appear only in the schemes they return.  Per suggestion, the deterministic
@@ -37,6 +40,7 @@ MAX_LP_ROWS = 128
 DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
 RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
 COUPLING_LP_MAX_GROUND = 10  # lp_min_cost_given_marginals has 2^|ground| columns
+ALPHA_RESOLUTION = 1e-2  # brute_force_randomized's payment grid step
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +431,7 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
 
 
 def _golden_minimize(fun, lo: float, hi: float, iters: int = 40):
-    """Golden-section polish; tolerant of mild non-unimodality (local use)."""
+    """Golden-section search for the minimum of a unimodal `fun` on [lo, hi]."""
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -446,20 +450,18 @@ def _golden_minimize(fun, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
-                           refine: bool = True):
-    """Search payments and solve the exact inspection LP at each candidate.
+def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOLUTION):
+    """Search payments and solve the exact inspection LP at each one; n <= 7.
 
-    Candidate payments per suggestion: the eta crossing points, the
-    break-even payment, 1, a uniform grid at `alpha_resolution`, and the
-    closed-form stationary payments harvested from the fast solver's pieces
-    (logged as hints; the LP itself stays independent).  The best bracket is
-    then polished by golden section.  Returns (scheme, utility); n <= 7.
+    For suggestion i, the total cost alpha*f(i) + LP(alpha) is strictly
+    convex in t = 1/alpha on [1, f(i)/c(i)]: the LP's optimal value is
+    convex in its right-hand side, each marginal bound is affine in t, and
+    f(i)/t is strictly convex.  So the cost is unimodal in alpha, and a
+    uniform grid of step `alpha_resolution` from the break-even payment
+    c(i)/f(i) to 1 only has to bracket its minimum: the best grid point and
+    its two neighbours do, and golden section polishes that bracket.
+    Returns (scheme, utility).
     """
-    import numpy as np
-
-    from .randomized import breakpoints, stationary_alpha_candidates
-
     if inst.n > RAND_ORACLE_MAX_N:
         raise ValidationError(
             f"randomized brute force limited to n <= {RAND_ORACLE_MAX_N}")
@@ -478,12 +480,8 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
         if a.prob <= a.cost:
             continue
         lo = a.cost / a.prob
-        cands = {lo, 1.0}
-        cands.update(c for c in breakpoints(inst, i).cutpoints if lo <= c <= 1.0)
-        cands.update(c for c in stationary_alpha_candidates(inst, i) if lo <= c <= 1.0)
         steps = max(1, math.ceil((1.0 - lo) / alpha_resolution))
-        cands.update(lo + (1.0 - lo) * t / steps for t in range(steps + 1))
-        grid = sorted(min(1.0, max(lo, c)) for c in cands)
+        grid = [lo + (1.0 - lo) * t / steps for t in range(steps)] + [1.0]
 
         evaluated = {}
         skeleton = _LPSkeleton(inst, k)
@@ -494,15 +492,12 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = 1e-2,
             return evaluated[alpha][1]
 
         values = [total_cost(alpha) for alpha in grid]
-        b_idx = int(np.argmin(values))
+        b_idx = min(range(len(grid)), key=values.__getitem__)
         alpha_best, cost_best = grid[b_idx], values[b_idx]
-        if refine and len(grid) > 1:
-            left = grid[max(0, b_idx - 1)]
-            right = grid[min(len(grid) - 1, b_idx + 1)]
-            if right > left:
-                alpha_ref, cost_ref = _golden_minimize(total_cost, left, right)
-                if cost_ref < cost_best:
-                    alpha_best, cost_best = alpha_ref, cost_ref
+        left, right = grid[max(0, b_idx - 1)], grid[min(steps, b_idx + 1)]
+        alpha_ref, cost_ref = _golden_minimize(total_cost, left, right)
+        if cost_ref < cost_best:
+            alpha_best, cost_best = alpha_ref, cost_ref
         scheme, _ = evaluated[alpha_best]
         consider(a.prob - cost_best, scheme)
 

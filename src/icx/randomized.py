@@ -443,14 +443,6 @@ def _enumerate_candidates(inst: Instance, ii: int):
                 yield partition, res
 
 
-def stationary_alpha_candidates(inst: Instance, i: ActionId) -> set[float]:
-    """Payments at which some subproblem attains its minimum (oracle hints)."""
-    try:
-        return {res.alpha for _, res in _enumerate_candidates(inst, inst.index(i))}
-    except ValidationError:
-        return set()
-
-
 def solve_randomized(inst: Instance, verify_submodular: str | bool = "auto",
                      digest: Optional[str] = None) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.

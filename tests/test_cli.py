@@ -219,6 +219,16 @@ class TestEval:
         assert main(["eval", intro_file, str(spath)]) == 3
         assert capsys.readouterr().err.startswith("validation error: ")
 
+    def test_nan_probability_exit_3(self, capsys, tmp_path, intro_file):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"suggested": "g", "alpha": 0.35,
+                                     "distribution": [{"set": ["g"], "prob": float("nan")}]}))
+        assert main(["eval", intro_file, str(spath)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: ") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_hidden_shift_reference_scheme(self, capsys, tmp_path):
         from icx.families import HardParams, gen_xos_hard, unique_optimal_scheme
         params = HardParams(7, frozenset([1, 2, 4, 5, 6, 7]))
@@ -302,6 +312,22 @@ class TestConfigPrecedence:
         # The flag overrides the environment.
         _, doc = run(capsys, "eval", str(ipath), str(spath), "--tol", "1e-12")
         assert doc["tolerance"] == 1e-12
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_nan_tolerance_exit_3(self, capsys, tmp_path, monkeypatch, source):
+        inst, scheme, _ = gen_nonic_example()
+        ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+        ipath.write_text(json.dumps(instance_to_json(inst)))
+        spath.write_text(json.dumps(scheme_to_json(scheme)))
+        argv = ["eval", str(ipath), str(spath)]
+        if source == "flag":
+            argv += ["--tol", "nan"]
+        else:
+            monkeypatch.setenv("ICX_TOL", "nan")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: tolerance must be nonnegative, got nan\n"
 
     def test_bad_env_value_is_parse_error(self, tmp_path, monkeypatch):
         inst, scheme, _ = gen_nonic_example()

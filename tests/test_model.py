@@ -65,6 +65,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             scheme("g", 0.5, [({"g"}, -0.2), (set(), 1.2)])
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_scheme_rejects_non_finite_probability(self, p):
+        with pytest.raises(ValidationError, match="not finite"):
+            scheme("g", 0.35, [({"g"}, p)])
+        with pytest.raises(ValidationError, match="not finite"):
+            scheme("g", 0.35, [({"g"}, p), (set(), 1.0)])
+
     def test_scheme_rejects_duplicate_subsets(self):
         with pytest.raises(ValidationError):
             scheme("g", 0.5, [({"g"}, 0.5), ({"g"}, 0.5)])

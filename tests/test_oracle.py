@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icx import costfn, oracle
+from icx import costfn, oracle, randomized
 from icx.deterministic import solve_deterministic
 from icx.families import gen_gap_instance, gen_intro_example, gen_nonic_example
 from icx.model import (InspectionScheme, ValidationError, deterministic_scheme,
@@ -205,6 +206,46 @@ class TestRandomizedBruteForce:
                     scheme, _ = lp_best_distribution(inst, a.id, alpha)
                     assert scheme is not None
                     assert is_IC(inst, scheme, 1e-7)
+
+    def test_independent_of_the_solver(self, monkeypatch):
+        # With every function of icx.randomized raising, the oracle can lean
+        # on nothing the solver it checks computes.
+        rng = random.Random(11)
+        insts = [random_instance(rng, 2 + t % 4, fn_kind="submodular") for t in range(8)]
+        solved = [randomized.solve_randomized(inst).utility for inst in insts]
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the LP oracle called into icx.randomized")
+
+        for name, obj in list(vars(randomized).items()):
+            if inspect.isfunction(obj) and obj.__module__ == randomized.__name__:
+                monkeypatch.setattr(randomized, name, unavailable)
+        _, utility = brute_force_randomized(gen_intro_example())
+        assert utility == pytest.approx(71 / 120, abs=1e-6)
+        for inst, expected in zip(insts, solved):
+            _, utility = brute_force_randomized(inst)
+            assert abs(utility - expected) <= 1e-4
+
+    def test_total_cost_convex_in_inverse_payment(self):
+        # The payment search rests on this: for any cost function,
+        # alpha*f(i) + LP(alpha) is convex in t = 1/alpha on [1, f(i)/c(i)].
+        rng = random.Random(5)
+        checked = 0
+        for trial in range(24):
+            inst = random_instance(rng, 2 + trial % 5,
+                                   fn_kind="table" if trial % 2 else "submodular")
+            for k, a in enumerate(inst.actions):
+                if not a.prob > a.cost > 0:
+                    continue
+                skeleton = oracle._LPSkeleton(inst, k)
+                top = a.prob / a.cost
+                ts = [1.0 + (top - 1.0) * s / 16 for s in range(17)]
+                costs = [lp_best_distribution(inst, a.id, 1.0 / t, skeleton=skeleton)[1]
+                         for t in ts]
+                for left, mid, right in zip(costs, costs[1:], costs[2:]):
+                    assert left - 2.0 * mid + right >= -1e-9
+                    checked += 1
+        assert checked >= 300
 
     def test_payment_outside_unit_interval_rejected(self):
         inst = gen_intro_example()

@@ -14,8 +14,7 @@ from icx.model import Action, Instance, ValidationError, is_IC, marginal
 from icx.oracle import lp_min_cost_given_marginals
 from icx.randomized import (SubmodularityError, assemble_scheme, breakpoints,
                             eta, nested_min_cost_distribution, solve_randomized,
-                            solve_subproblem, stationary_alpha_candidates,
-                            subproblem_objective)
+                            solve_subproblem, subproblem_objective)
 from icx.serialization import canonical_dumps
 from conftest import (random_coupling, random_instance, random_marginals,
                       random_submodular_fn)
@@ -126,12 +125,6 @@ class TestBreakpoints:
         part = breakpoints(inst, "2")
         assert part.cutpoints == (0.0, 1.0)
         assert part.orders == (("1",),)
-
-    def test_oracle_hints_empty_for_ineligible_or_unknown_action(self):
-        inst = gen_intro_example()
-        assert stationary_alpha_candidates(inst, "bot") == set()  # c = 0
-        assert stationary_alpha_candidates(inst, "zzz") == set()
-        assert 3 / 8 in {round(a, 12) for a in stationary_alpha_candidates(inst, "g")}
 
     def test_order_invariance_within_intervals(self, rng):
         for trial in range(40):
