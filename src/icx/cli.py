@@ -22,13 +22,11 @@ import time
 from . import deterministic, families, oracle, randomized, reports, serialization
 from .costfn import CountingOracle, ExplicitTable, check_monotone, check_submodular
 from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
-                    best_responses, is_IC, principal_utility)
+                    best_responses, check_tolerance, is_IC, principal_utility)
 
+# The LP oracle's payment grid and golden-section polish land within this of
+# the exact randomized optimum; compare --mode rand passes inside it.
 RAND_COMPARE_TOL = 1e-4
-
-
-class OracleSizeError(Exception):
-    pass
 
 
 def _env_float(name: str, default: float) -> float:
@@ -42,7 +40,8 @@ def _env_float(name: str, default: float) -> float:
 
 
 def _tol(args) -> float:
-    return args.tol if args.tol is not None else _env_float("ICX_TOL", DEFAULT_TOL)
+    tol = args.tol if args.tol is not None else _env_float("ICX_TOL", DEFAULT_TOL)
+    return check_tolerance(tol)
 
 
 def _alpha_grid(args) -> float:
@@ -70,7 +69,6 @@ def _load_validated_instance(path: str) -> Instance:
 
 def cmd_solve(args) -> int:
     inst = _load_validated_instance(args.instance)
-    digest = reports.compute_digest(inst)
     counted = CountingOracle(inst.cost_fn)
     counted_inst = inst.with_cost_fn(counted)
     start = time.perf_counter()
@@ -78,8 +76,7 @@ def cmd_solve(args) -> int:
         best, candidates = deterministic.solve_deterministic(counted_inst)
         report = reports.build_report(
             counted_inst, "det", best.scheme(),
-            provenance={"kind": best.provenance, "suggested": best.suggested},
-            digest=digest)
+            provenance={"kind": best.provenance, "suggested": best.suggested})
         extra = {
             "candidates": [
                 {"suggested": c.suggested, "alpha": c.alpha,
@@ -89,7 +86,7 @@ def cmd_solve(args) -> int:
             ]
         }
     else:
-        report = randomized.solve_randomized(counted_inst, digest=digest)
+        report = randomized.solve_randomized(counted_inst)
         extra = {}
     report.query_counts = {"value": counted.value_queries,
                            "demand": counted.demand_queries}
@@ -127,13 +124,7 @@ def cmd_eval(args) -> int:
 
 def _run_oracle(inst: Instance, mode: str, alpha_grid: float):
     if mode == "det":
-        if inst.n > oracle.DET_ORACLE_MAX_N:
-            raise OracleSizeError(
-                f"deterministic oracle limited to n <= {oracle.DET_ORACLE_MAX_N}")
         return oracle.brute_force_deterministic(inst)
-    if inst.n > oracle.RAND_ORACLE_MAX_N:
-        raise OracleSizeError(
-            f"randomized oracle limited to n <= {oracle.RAND_ORACLE_MAX_N}")
     return oracle.brute_force_randomized(inst, alpha_resolution=alpha_grid)
 
 
@@ -152,13 +143,16 @@ def cmd_brute_force(args) -> int:
 def cmd_compare(args) -> int:
     inst = _load_validated_instance(args.instance)
     if args.mode == "det":
+        tolerance = _tol(args)
         best, _ = deterministic.solve_deterministic(inst)
         solver_utility = best.utility
-        tolerance = _tol(args)
     else:
+        if args.tol is not None:
+            raise ValidationError(f"--tol applies to --mode det only; --mode rand "
+                                  f"passes within {RAND_COMPARE_TOL:g}")
+        tolerance = RAND_COMPARE_TOL
         report = randomized.solve_randomized(inst)
         solver_utility = report.utility
-        tolerance = RAND_COMPARE_TOL
     _, oracle_utility = _run_oracle(inst, args.mode, _alpha_grid(args))
     gap = abs(solver_utility - oracle_utility)
     doc = {
@@ -248,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scheme_file:
             p.add_argument("scheme", help="scheme JSON file")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (default env ICX_TOL or 1e-9)")
 
     p = sub.add_parser("solve", help="run the exact solver")
     add_common(p)
@@ -259,19 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a scheme on an instance")
     add_common(p, scheme_file=True)
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"best-response tolerance (default env ICX_TOL or {DEFAULT_TOL:g})")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("brute-force", help="run the reference oracle solver")
     add_common(p)
     p.add_argument("--mode", choices=["det", "rand"], required=True)
     p.add_argument("--alpha-grid", type=float, default=None,
-                   help="payment grid step (default env ICX_ALPHA_GRID or 1e-2)")
+                   help=f"payment grid step (default env ICX_ALPHA_GRID or "
+                        f"{oracle.ALPHA_RESOLUTION:g})")
     p.set_defaults(func=cmd_brute_force)
 
     p = sub.add_parser("compare", help="solver vs oracle diff report")
     add_common(p)
     p.add_argument("--mode", choices=["det", "rand"], required=True)
     p.add_argument("--alpha-grid", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"det-mode tolerance (default env ICX_TOL or {DEFAULT_TOL:g}); "
+                        f"rand mode passes within {RAND_COMPARE_TOL:g}")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check-costfn", help="monotonicity/submodularity checks")
@@ -324,7 +322,7 @@ def main(argv=None) -> int:
     except randomized.SubmodularityError as exc:
         print(f"cost-class check failed: {exc}", file=sys.stderr)
         return 4
-    except OracleSizeError as exc:
+    except oracle.OracleSizeError as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
         return 5
     except ValidationError as exc:

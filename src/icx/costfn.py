@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
+# Float noise between two computations of the same quantity ends here: cost
+# class checks, probability sums, cutpoint and mass checks, LP dust, and the
+# re-checks of a solver's answer.  Utility comparisons use model.DEFAULT_TOL.
 EQ_TOL = 1e-12
 
 

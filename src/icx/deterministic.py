@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .costfn import EQ_TOL
 from .model import (ActionId, InspectionScheme, Instance, ValidationError,
                     deterministic_scheme, is_IC)
-
-IC_ASSERT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def solve_deterministic(inst: Instance):
             add(i, p / q, mask, f"pair_set:{ids[j]}")
 
     best = candidates[max(range(len(keys)), key=keys.__getitem__)]
-    if not is_IC(inst, best.scheme(), IC_ASSERT_TOL):
+    if not is_IC(inst, best.scheme(), EQ_TOL):
         raise AssertionError(
             f"solver bug: returned candidate {best} fails the IC check")
     return best, candidates

@@ -17,11 +17,12 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .costfn import SetFunction
+from .costfn import EQ_TOL, SetFunction
 
 MAX_ACTIONS = 30
-DIST_TOL = 1e-12  # scheme validation tolerance
-DEFAULT_TOL = 1e-9  # utility comparison tolerance
+# Float noise in a utility comparison or an LP pivot ends here; a quantity
+# computed two ways is instead held to costfn.EQ_TOL.
+DEFAULT_TOL = 1e-9
 
 ActionId = str
 
@@ -122,7 +123,7 @@ class InspectionScheme:
     """Suggested action, payment alpha, and a sparse distribution over subsets.
 
     `distribution` holds (inspected id-set, probability) pairs; subsets are
-    unique and probabilities sum to one within DIST_TOL.  Deterministic
+    unique and probabilities sum to one within EQ_TOL.  Deterministic
     schemes are the special case of a single subset with probability 1.
     """
 
@@ -139,13 +140,13 @@ class InspectionScheme:
         for s, p in dist:
             if not math.isfinite(p):
                 raise ValidationError(f"probability {p} on {sorted(s)} is not finite")
-            if p < -DIST_TOL:
+            if p < -EQ_TOL:
                 raise ValidationError(f"negative probability {p} on {sorted(s)}")
             if s in seen:
                 raise ValidationError(f"duplicate subset {sorted(s)} in distribution")
             seen.add(s)
         total = sum(p for _, p in dist)
-        if abs(total - 1.0) > DIST_TOL:
+        if abs(total - 1.0) > EQ_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
         dist = tuple((s, max(0.0, p)) for s, p in dist)
         object.__setattr__(self, "suggested", suggested)
@@ -203,11 +204,19 @@ def expected_inspection_cost(inst: Instance, scheme: InspectionScheme) -> float:
     return sum(p * inst.inspection_cost(s) for s, p in scheme.distribution if p > 0.0)
 
 
+def check_tolerance(tol: float) -> float:
+    """Return tol if it is finite and nonnegative; raise ValidationError otherwise."""
+    if not tol >= 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
+    if tol == math.inf:
+        raise ValidationError(f"tolerance must be finite, got {tol}")
+    return tol
+
+
 def best_responses(inst: Instance, scheme: InspectionScheme,
                    tol: float = DEFAULT_TOL) -> set[ActionId]:
     """All actions whose agent utility is within tol of the maximum."""
-    if not tol >= 0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
+    check_tolerance(tol)
     utilities = {a.id: agent_utility(inst, scheme, a.id) for a in inst.actions}
     top = max(utilities.values())
     return {j for j, u in utilities.items() if u >= top - tol}

@@ -31,16 +31,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from .model import (ActionId, InspectionScheme, Instance, ValidationError,
+from .costfn import EQ_TOL
+from .model import (DEFAULT_TOL, ActionId, InspectionScheme, Instance, ValidationError,
                     best_responses, deterministic_scheme, principal_utility)
 
-LP_TOL = 1e-9
 MAX_LP_VARS = 1 << 12
 MAX_LP_ROWS = 128
 DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
 RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
 COUPLING_LP_MAX_GROUND = 10  # lp_min_cost_given_marginals has 2^|ground| columns
 ALPHA_RESOLUTION = 1e-2  # brute_force_randomized's payment grid step
+GOLDEN_WIDTH = 1e-10  # _golden_minimize's stopping bracket width
+
+
+class OracleSizeError(ValidationError):
+    """The instance has more actions than an exhaustive oracle enumerates."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +87,13 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(factors, T[row])
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, tol: float) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Bland's rule on tableau T (last row = reduced costs, last col = rhs)."""
     m = T.shape[0] - 1
     while True:
         enter = -1
         for j in range(ncols):
-            if T[-1, j] < -tol:
+            if T[-1, j] < -DEFAULT_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -96,11 +101,12 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, tol: float) -> str
         leave, best_ratio = -1, math.inf
         for r in range(m):
             a = T[r, enter]
-            if a > tol:
+            if a > DEFAULT_TOL:
                 ratio = T[r, -1] / a
-                if ratio < best_ratio - tol:
+                if ratio < best_ratio - DEFAULT_TOL:
                     leave, best_ratio = r, ratio
-                elif leave >= 0 and ratio <= best_ratio + tol and basis[r] < basis[leave]:
+                elif (leave >= 0 and ratio <= best_ratio + DEFAULT_TOL
+                      and basis[r] < basis[leave]):
                     leave = r  # Bland tie-break on the basic variable index
         if leave < 0:
             return "unbounded"
@@ -108,7 +114,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, tol: float) -> str
         basis[leave] = enter
 
 
-def simplex_solve(lp: LinearProgram, tol: float = LP_TOL):
+def simplex_solve(lp: LinearProgram):
     """Two-phase primal simplex with Bland's anti-cycling rule.
 
     Returns (status, solution, value) with status in
@@ -160,14 +166,14 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL):
         for r, bc in enumerate(basis):
             if bc >= art0:
                 T[-1] -= T[r]
-        status = _run_simplex(T, basis, total, tol)
-        if status != "optimal" or T[-1, -1] < -tol:
+        status = _run_simplex(T, basis, total)
+        if status != "optimal" or T[-1, -1] < -DEFAULT_TOL:
             return "infeasible", None, None
         # Pivot remaining artificials out of the basis where possible.
         for r, bc in enumerate(basis):
             if bc >= art0:
                 for j in range(art0):
-                    if abs(T[r, j]) > tol:
+                    if abs(T[r, j]) > DEFAULT_TOL:
                         _pivot(T, r, j)
                         basis[r] = j
                         break
@@ -179,7 +185,7 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL):
     for r, bc in enumerate(basis):
         if T[-1, bc] != 0.0:
             T[-1] -= T[-1, bc] * T[r]
-    status = _run_simplex(T, basis, art0, tol)
+    status = _run_simplex(T, basis, art0)
     if status == "unbounded":
         return "unbounded", None, None
     x = np.zeros(total)
@@ -272,8 +278,7 @@ def brute_force_deterministic(inst: Instance):
     once, and only when some suggestion is IC with it inspected.
     """
     if inst.n > DET_ORACLE_MAX_N:
-        raise ValidationError(
-            f"deterministic brute force limited to n <= {DET_ORACLE_MAX_N}")
+        raise OracleSizeError(f"deterministic oracle limited to n <= {DET_ORACLE_MAX_N}")
     fs = [a.prob for a in inst.actions]
     cs = [a.cost for a in inst.actions]
     value = inst.cost_fn.value
@@ -345,7 +350,7 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
     status, x, value = simplex_solve(lp)
     if status != "optimal":
         raise ValidationError(f"coupling LP {status}: mass below max marginal?")
-    dist = {subsets[c]: float(x[c]) for c in range(len(subsets)) if x[c] > 1e-12}
+    dist = {subsets[c]: float(x[c]) for c in range(len(subsets)) if x[c] > EQ_TOL}
     return dist, value
 
 
@@ -415,11 +420,11 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
         return None, math.inf
     masks = skeleton.masks
     dist = [(inst.ids_of(masks[col]), float(x[col]))
-            for col in range(len(masks)) if x[col] > 1e-12]
+            for col in range(len(masks)) if x[col] > EQ_TOL]
     p_i = float(x[-1])
-    if p_i > 1e-12:
+    if p_i > EQ_TOL:
         dist.append((frozenset([i]), p_i))
-    # The simplex honors mass <= 1 only within LP_TOL; rescale the dust away
+    # The simplex honors mass <= 1 only within DEFAULT_TOL; rescale the dust away
     # before wrapping the solution as a validated scheme.
     total = sum(p for _, p in dist)
     if total > 1.0:
@@ -430,14 +435,17 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
     return scheme, alpha * skeleton.fs[skeleton.k] + float(value)
 
 
-def _golden_minimize(fun, lo: float, hi: float, iters: int = 40):
-    """Golden-section search for the minimum of a unimodal `fun` on [lo, hi]."""
+def _golden_minimize(fun, lo: float, hi: float):
+    """Golden-section search for the minimum of a unimodal `fun` on [lo, hi].
+
+    Stops after 40 steps or once the bracket is narrower than GOLDEN_WIDTH.
+    """
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if b - a < 1e-10:
+    for _ in range(40):
+        if b - a < GOLDEN_WIDTH:
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -460,16 +468,18 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOL
     uniform grid of step `alpha_resolution` from the break-even payment
     c(i)/f(i) to 1 only has to bracket its minimum: the best grid point and
     its two neighbours do, and golden section polishes that bracket.
-    Returns (scheme, utility).
+    `alpha_resolution` must lie in (0, 1].  Returns (scheme, utility).
     """
     if inst.n > RAND_ORACLE_MAX_N:
+        raise OracleSizeError(f"randomized oracle limited to n <= {RAND_ORACLE_MAX_N}")
+    if not 0.0 < alpha_resolution <= 1.0:
         raise ValidationError(
-            f"randomized brute force limited to n <= {RAND_ORACLE_MAX_N}")
+            f"payment grid step must be in (0, 1], got {alpha_resolution}")
     best: tuple[float, InspectionScheme] | None = None
 
     def consider(utility, scheme):
         nonlocal best
-        if scheme is not None and (best is None or utility > best[0] + 1e-15):
+        if scheme is not None and (best is None or utility > best[0]):
             best = (utility, scheme)
 
     for k, a in enumerate(inst.actions):
@@ -521,7 +531,7 @@ def deterministic_non_ic_best(inst: Instance):
     the suggestion.
     """
     if inst.n > DET_ORACLE_MAX_N:
-        raise ValidationError(f"non-IC enumeration limited to n <= {DET_ORACLE_MAX_N}")
+        raise OracleSizeError(f"deterministic oracle limited to n <= {DET_ORACLE_MAX_N}")
     best = -math.inf
     for a in inst.actions:
         j = a.id
@@ -543,6 +553,6 @@ def deterministic_non_ic_best(inst: Instance):
                             alphas.add(cross)
             for alpha in alphas:
                 scheme = deterministic_scheme(j, alpha, inspected)
-                for ell in best_responses(inst, scheme, 1e-12):
+                for ell in best_responses(inst, scheme, EQ_TOL):
                     best = max(best, principal_utility(inst, scheme, ell))
     return best

@@ -32,13 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from . import reports
-from .costfn import check_submodular
+from .costfn import EQ_TOL, check_submodular
 from .model import (ActionId, InspectionScheme, Instance, ValidationError,
                     is_IC)
-
-FEAS_TOL = 1e-11
-DEDUP_TOL = 1e-12
-IC_ASSEMBLY_TOL = 1e-9
 
 # The empty inspection set, shared by every scheme (each frozenset() is a new
 # 216-byte object on CPython).
@@ -108,7 +104,7 @@ def nested_min_cost_distribution(ground: Sequence[Hashable], marginals: Mapping,
             raise ValidationError(f"marginal of {e!r} is {q}, outside [0, 1]")
     order = sorted(ground, key=lambda e: (marginals[e], e))
     top = marginals[order[-1]] if order else 0.0
-    if mass < top - DEDUP_TOL:
+    if mass < top - EQ_TOL:
         raise ValidationError(f"mass {mass} below largest marginal {top}")
     levels = []
     prev = 0.0
@@ -170,12 +166,12 @@ def _partition(inst: Instance, ii: int, f: Sequence[float], c: Sequence[float]):
             if fx == fy:
                 continue
             alpha = ((ci - cx) * fy - (ci - c[y]) * fx) / ((fy - fx) * fi)
-            if DEDUP_TOL < alpha < 1.0 - DEDUP_TOL:
+            if EQ_TOL < alpha < 1.0 - EQ_TOL:
                 pts.append(alpha)
     pts.sort()
     cutpoints = [0.0]
     for p in pts:
-        if p - cutpoints[-1] > DEDUP_TOL:
+        if p - cutpoints[-1] > EQ_TOL:
             cutpoints.append(p)
     cutpoints.append(1.0)
 
@@ -255,7 +251,7 @@ def _payment_range(partition: IntervalPartition, ell: int, fi: float, ci: float)
     """(lo, hi) payments of interval ell above break-even c(i)/f(i), or None."""
     lo = max(partition.cutpoints[ell], ci / fi)
     hi = partition.cutpoints[ell + 1]
-    if lo > hi + FEAS_TOL:
+    if lo > hi + EQ_TOL:
         return None
     return min(lo, hi), hi
 
@@ -341,7 +337,7 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
         """Optimal p_i for fixed alpha, clamped into the constraint box."""
         lo_p = max(0.0, h(k - 1, alpha))
         hi_p = min(1.0, h(k, alpha))
-        if lo_p > hi_p + FEAS_TOL:
+        if lo_p > hi_p + EQ_TOL:
             return None
         p = lo_p if gamma >= 0.0 else hi_p
         return min(max(p, 0.0), 1.0)
@@ -362,7 +358,7 @@ def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: 
     best = None
     for a0, a1 in zip(grid, grid[1:]) if len(grid) > 1 else [(lo, hi)]:
         mid = 0.5 * (a0 + a1)
-        if h(k - 1, mid) > 1.0 + FEAS_TOL or h(k, mid) < -FEAS_TOL:
+        if h(k - 1, mid) > 1.0 + EQ_TOL or h(k, mid) < -EQ_TOL:
             continue
         # Piece objective A + B*alpha + D/alpha after substituting p_i(alpha).
         D = base_D
@@ -423,7 +419,7 @@ def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
         dist.append((frozenset([i]), result.p_i))
     dist.append((_NOTHING, nested.empty_mass))
     scheme = InspectionScheme(i, result.alpha, dist)
-    if not is_IC(inst, scheme, IC_ASSEMBLY_TOL):
+    if not is_IC(inst, scheme):
         raise AssertionError(f"solver bug: assembled scheme for {i} is not IC")
     return scheme
 
@@ -443,22 +439,18 @@ def _enumerate_candidates(inst: Instance, ii: int):
                 yield partition, res
 
 
-def solve_randomized(inst: Instance, verify_submodular: str | bool = "auto",
-                     digest: Optional[str] = None) -> reports.SolveReport:
+def solve_randomized(inst: Instance) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.
 
-    With verify_submodular "auto", the cost is checked exhaustively when
-    n <= 10 and otherwise trusted with a warning in the report; True forces
-    the check, False skips it.  A failed check raises SubmodularityError.
+    The cost is checked exhaustively when n <= 10 and otherwise trusted with
+    a warning in the report.  A failed check raises SubmodularityError.
     """
     warnings = []
-    do_check = verify_submodular is True or (
-        verify_submodular == "auto" and inst.n <= 10)
-    if do_check:
+    if inst.n <= 10:
         ok, witness = check_submodular(inst.cost_fn, inst.n, mode="exhaustive")
         if not ok:
             raise SubmodularityError(witness)
-    elif verify_submodular == "auto":
+    else:
         warnings.append("submodularity unverified (n > 10); result trusted")
 
     best = None  # (utility, -index, -alpha) -> payload
@@ -494,5 +486,4 @@ def solve_randomized(inst: Instance, verify_submodular: str | bool = "auto",
             "k": res.k, "alpha": res.alpha, "p_suggested": res.p_i,
         }
     return reports.build_report(
-        inst, "rand", scheme, provenance=provenance, warnings=tuple(warnings),
-        digest=digest)
+        inst, "rand", scheme, provenance=provenance, warnings=tuple(warnings))

@@ -62,19 +62,16 @@ def compute_digest(inst: Instance) -> Optional[str]:
 
 
 def build_report(inst: Instance, mode: str, scheme: InspectionScheme,
-                 provenance: dict, warnings: tuple[str, ...] = (),
-                 digest: Optional[str] = None,
-                 query_counts: Optional[dict] = None) -> SolveReport:
+                 provenance: dict, warnings: tuple[str, ...] = ()) -> SolveReport:
     payment = scheme.alpha * inst.f(scheme.suggested)
     cost = expected_inspection_cost(inst, scheme)
     return SolveReport(
         mode=mode,
-        digest=digest if digest is not None else compute_digest(inst),
+        digest=compute_digest(inst),
         scheme=scheme,
         utility=inst.f(scheme.suggested) - payment - cost,
         payment=payment,
         inspection_cost=cost,
         provenance=provenance,
         warnings=warnings,
-        query_counts=query_counts,
     )

@@ -253,12 +253,64 @@ class TestCompareAndBruteForce:
                         "--alpha-grid", "0.02")
         assert code == 0
         assert doc["pass"] is True
+        assert doc["tolerance"] == cli.RAND_COMPARE_TOL
+
+    @pytest.mark.parametrize("value", ["1e-20", "1e-3", "nan"])
+    def test_compare_rand_refuses_tolerance(self, capsys, intro_file, value):
+        assert main(["compare", "--mode", "rand", intro_file, "--alpha-grid", "0.05",
+                     "--tol", value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("validation error: --tol applies to --mode det only; "
+                                "--mode rand passes within 0.0001\n")
+
+    def test_compare_rand_ignores_env_tolerance(self, capsys, intro_file, monkeypatch):
+        # ICX_TOL is the utility-comparison tolerance; the rand-mode bound stays.
+        monkeypatch.setenv("ICX_TOL", "1e-20")
+        code, doc = run(capsys, "compare", "--mode", "rand", intro_file,
+                        "--alpha-grid", "0.05")
+        assert code == 0
+        assert doc["tolerance"] == cli.RAND_COMPARE_TOL and doc["pass"] is True
+
+    @pytest.mark.parametrize("command", ["solve", "brute-force", "check-costfn"])
+    def test_tolerance_flag_only_where_read(self, capsys, intro_file, command):
+        argv = [command, intro_file, "--tol", "1e-9"]
+        if command != "check-costfn":
+            argv += ["--mode", "det"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["compare", "--mode", "rand"],
+                                      ["brute-force", "--mode", "rand"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_alpha_grid_exit_3(self, capsys, monkeypatch, intro_file, argv, step,
+                                   source):
+        argv = argv + [intro_file]
+        if source == "flag":
+            argv += ["--alpha-grid", step]
+        else:
+            monkeypatch.setenv("ICX_ALPHA_GRID", step)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: payment grid step must be in (0, 1], got {float(step)}\n")
 
     def test_oracle_size_limit_exit_5(self, capsys, tmp_path):
-        code = main(["gen", "--family", "gap", "--n", "13",
-                     "--out", str(tmp_path / "gap.json")])
-        assert code == 0
-        assert main(["compare", "--mode", "det", str(tmp_path / "gap.json")]) == 5
+        for command, mode, n, limit in [
+                ("compare", "det", 13, "deterministic oracle limited to n <= 12"),
+                ("brute-force", "det", 13, "deterministic oracle limited to n <= 12"),
+                ("brute-force", "rand", 8, "randomized oracle limited to n <= 7")]:
+            path = str(tmp_path / f"gap{n}.json")
+            assert main(["gen", "--family", "gap", "--n", str(n), "--out", path]) == 0
+            assert main([command, "--mode", mode, path]) == 5
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"oracle limit: {limit}\n"
 
     def test_brute_force_det(self, capsys, intro_file):
         code, doc = run(capsys, "brute-force", "--mode", "det", intro_file)
@@ -328,6 +380,29 @@ class TestConfigPrecedence:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "validation error: tolerance must be nonnegative, got nan\n"
+
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_tolerance_exit_3(self, capsys, tmp_path, monkeypatch, intro_file,
+                                  command, value, source):
+        if command == "eval":
+            scheme = tmp_path / "s.json"
+            scheme.write_text(json.dumps(scheme_to_json(
+                deterministic_scheme("g", 0.35, ["g"]))))
+            argv = ["eval", intro_file, str(scheme)]
+        else:
+            argv = ["compare", "--mode", "det", intro_file]
+        if source == "flag":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv("ICX_TOL", value)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "finite" if value == "inf" else "nonnegative"
+        assert captured.err == (
+            f"validation error: tolerance must be {reason}, got {float(value)}\n")
 
     def test_bad_env_value_is_parse_error(self, tmp_path, monkeypatch):
         inst, scheme, _ = gen_nonic_example()

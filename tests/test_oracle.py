@@ -145,8 +145,10 @@ class TestDeterministicBruteForce:
             assert abs(best.utility - oracle_utility) <= 1e-9
 
     def test_size_limit(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(oracle.OracleSizeError,
+                           match=r"^deterministic oracle limited to n <= 12$"):
             brute_force_deterministic(gen_gap_instance(13))
+        assert issubclass(oracle.OracleSizeError, ValidationError)
 
     def test_no_inspection_intro(self):
         i, alpha, utility = no_inspection_best(gen_intro_example())
@@ -194,8 +196,18 @@ class TestRandomizedBruteForce:
         assert utility == pytest.approx(refs["ic_randomized_optimum"], abs=1e-6)
 
     def test_size_limit(self):
-        with pytest.raises(ValidationError):
-            brute_force_randomized(gen_gap_instance(9))
+        with pytest.raises(oracle.OracleSizeError,
+                           match=r"^randomized oracle limited to n <= 7$"):
+            brute_force_randomized(gen_gap_instance(8))
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, -0.5, math.inf, 1.5])
+    def test_grid_step_outside_unit_interval_rejected(self, step):
+        with pytest.raises(ValidationError, match="payment grid step must be in"):
+            brute_force_randomized(gen_intro_example(), alpha_resolution=step)
+
+    def test_grid_step_of_one_accepted(self):
+        _, utility = brute_force_randomized(gen_intro_example(), alpha_resolution=1.0)
+        assert utility == pytest.approx(71 / 120, abs=1e-6)
 
     def test_fixed_alpha_lp_is_ic(self, rng):
         for trial in range(15):
@@ -256,6 +268,11 @@ class TestRandomizedBruteForce:
 
 
 class TestNonICDeterministic:
+    def test_size_limit(self):
+        with pytest.raises(oracle.OracleSizeError,
+                           match=r"^deterministic oracle limited to n <= 12$"):
+            deterministic_non_ic_best(gen_gap_instance(13))
+
     def test_nonic_example_has_no_deterministic_advantage(self):
         inst, _, _ = gen_nonic_example()
         _, ic_opt = brute_force_deterministic(inst)

@@ -301,6 +301,40 @@ class TestSolveRandomized:
         report = solve_randomized(gen_gap_instance(10))
         assert report.utility >= 10 / 2048 - 1e-12
 
+    def test_scaled_rivals_feasibility_slack(self, rng, monkeypatch):
+        # Rivals with prob 1e-3..1e-7 against action costs up to 0.2 make
+        # h_j = a + b/alpha a difference of terms up to ~1e7, so its rounding
+        # error reaches the 1e-12 feasibility slack: at ten times that slack
+        # some winners are found under another split index k.  The scheme
+        # and utility must not move, and must match the LP oracle.
+        from icx import randomized
+        from icx.oracle import brute_force_randomized
+        insts = []
+        for trial in range(300):
+            tiny = 10.0 ** -rng.randint(3, 7)
+            actions = [Action("bot", 0.0, rng.uniform(0.0, tiny))]
+            for idx in range(1, 2 + trial % 5):
+                if rng.random() < 0.5:
+                    prob = rng.uniform(0.3, 1.0)
+                    actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.3) * prob, prob))
+                else:
+                    actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.2),
+                                          tiny * rng.uniform(0.1, 1.0)))
+            insts.append(Instance(tuple(actions), "bot", costfn.Additive(
+                [rng.uniform(0.0, 2.0) for _ in actions])))
+        reports = [solve_randomized(inst) for inst in insts]
+        for inst, report in zip(insts[:40], reports):
+            _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+            assert abs(report.utility - oracle_utility) <= 1e-6
+        monkeypatch.setattr(randomized, "EQ_TOL", 1e-11)
+        relabelled = 0
+        for inst, report in zip(insts, reports):
+            wide = solve_randomized(inst)
+            assert (wide.utility, wide.scheme.alpha) == (report.utility, report.scheme.alpha)
+            assert wide.scheme.distribution == report.scheme.distribution
+            relabelled += wide.provenance.get("k") != report.provenance.get("k")
+        assert relabelled > 0
+
     def test_matches_oracle_at_full_oracle_size(self, rng):
         from icx.oracle import brute_force_randomized
         for trial in range(15):
