@@ -13,7 +13,7 @@ from .costfn import (Additive, BudgetAdditive, ConcaveCardinality, CountingOracl
                      ExplicitTable, SetFunction, WeightedCoverage, XOSClauses,
                      check_monotone, check_submodular, check_xos_pointwise,
                      demand_default)
-from .deterministic import DetCandidate, candidate_sets, solve_deterministic
+from .deterministic import DetCandidate, solve_deterministic
 from .model import (Action, InspectionScheme, Instance, ValidationError,
                     agent_utility, best_responses, deterministic_scheme,
                     expected_inspection_cost, is_IC, marginal, normalize_scheme,
@@ -21,10 +21,8 @@ from .model import (Action, InspectionScheme, Instance, ValidationError,
 from .oracle import (LinearProgram, brute_force_deterministic,
                      brute_force_randomized, lp_min_cost_given_marginals,
                      no_inspection_best, simplex_solve)
-from .randomized import (IntervalPartition, NestedDistribution, SubmodularityError,
-                         SubproblemResult, assemble_scheme, breakpoints, eta,
-                         nested_min_cost_distribution, solve_randomized,
-                         solve_subproblem)
+from .randomized import (NestedDistribution, SubmodularityError, eta,
+                         nested_min_cost_distribution, solve_randomized)
 from .reports import SolveReport, __version__
 
 __all__ = [name for name in dir() if not name.startswith("_")]

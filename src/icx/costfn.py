@@ -112,20 +112,32 @@ def demand_default(fn: SetFunction, prices: Sequence[float], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    w = tuple(float(x) for x in weights)
+class _Doubles(array):
+    """C doubles (8 bytes each rather than a 32-byte float object) that read
+    back the same floats, and hash like the tuple they compare equal to (so
+    0.0 and -0.0 hash alike, as == requires)."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def _check_weights(weights: Sequence[float]) -> _Doubles:
+    # Scanned as float objects: iterating an array would box each one.
+    w = [float(x) for x in weights]
     if not all(map(math.isfinite, w)):
         raise ValueError("weights must be finite")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    return w
+    return _Doubles("d", w)
 
 
 @dataclass(frozen=True)
 class Additive(SetFunction):
     """v(S) = sum of per-element weights."""
 
-    weights: tuple[float, ...]
+    weights: _Doubles
 
     def __init__(self, weights: Sequence[float]):
         object.__setattr__(self, "weights", _check_weights(weights))
@@ -154,7 +166,7 @@ class Additive(SetFunction):
 class BudgetAdditive(SetFunction):
     """v(S) = min(additive sum, cap).  Submodular for cap >= 0."""
 
-    weights: tuple[float, ...]
+    weights: _Doubles
     cap: float
 
     def __init__(self, weights: Sequence[float], cap: float):
@@ -186,7 +198,7 @@ class WeightedCoverage(SetFunction):
 
     universe: int
     covers: tuple[int, ...]
-    element_weights: tuple[float, ...]
+    element_weights: _Doubles
 
     def __init__(self, universe: int, covers: Sequence[int], element_weights: Sequence[float]):
         ew = _check_weights(element_weights)
@@ -224,10 +236,10 @@ class WeightedCoverage(SetFunction):
 class ConcaveCardinality(SetFunction):
     """v(S) = g(|S|) for a nondecreasing concave table g with g(0) = 0."""
 
-    g: tuple[float, ...]
+    g: _Doubles
 
     def __init__(self, g: Sequence[float]):
-        gt = tuple(float(x) for x in g)
+        gt = [float(x) for x in g]
         if not all(map(math.isfinite, gt)):
             raise ValueError("cardinality table must be finite")
         if not gt or gt[0] != 0.0:
@@ -237,7 +249,7 @@ class ConcaveCardinality(SetFunction):
             raise ValueError("cardinality table must be nondecreasing")
         if any(diffs[i + 1] - diffs[i] > EQ_TOL for i in range(len(diffs) - 1)):
             raise ValueError("cardinality table must be concave (nonincreasing differences)")
-        object.__setattr__(self, "g", gt)
+        object.__setattr__(self, "g", _Doubles("d", gt))
 
     @property
     def n(self) -> int:
@@ -258,12 +270,10 @@ class ExplicitTable(SetFunction):
     """v(S) read from a dense table of 2^n values, indexed by bitmask.
 
     The interchange format for cross-checking every other constructor;
-    validated finite, normalized and monotone on load.  The values are held as C
-    doubles (8 bytes each rather than a 32-byte float object), which reads
-    back the same floats.
+    validated finite, normalized and monotone on load.
     """
 
-    values: array
+    values: _Doubles
 
     def __init__(self, values: Sequence[float], validate: bool = True):
         vt = [float(x) for x in values]
@@ -280,12 +290,7 @@ class ExplicitTable(SetFunction):
             if witness is not None:
                 mask, i = witness
                 raise ValueError(f"table not monotone at S={mask:b}, element {i}")
-        object.__setattr__(self, "values", array("d", vt))
-
-    def __hash__(self) -> int:
-        # An array is unhashable; hash the values as the tuple they compare
-        # like (so 0.0 and -0.0 hash alike, as == requires).
-        return hash((tuple(self.values),))
+        object.__setattr__(self, "values", _Doubles("d", vt))
 
     @property
     def n(self) -> int:
@@ -302,7 +307,7 @@ class ExplicitTable(SetFunction):
 class XOSClauses(SetFunction):
     """v(S) = max over additive clauses of clause(S)."""
 
-    clauses: tuple[tuple[float, ...], ...]
+    clauses: tuple[_Doubles, ...]
 
     def __init__(self, clauses: Sequence[Sequence[float]]):
         cl = tuple(_check_weights(c) for c in clauses)

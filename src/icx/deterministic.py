@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costfn import EQ_TOL
-from .model import (ActionId, InspectionScheme, Instance, ValidationError,
-                    deterministic_scheme, is_IC)
+from .model import (ActionId, InspectionScheme, Instance, deterministic_scheme,
+                    is_IC)
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,14 @@ def _scaled(inst: Instance) -> list[tuple[int, int]]:
 
 
 def _suggestion_sets(scaled: list[tuple[int, int]], i: int):
-    """Index-native `candidate_sets` for action index i, which needs f(i) > c(i) > 0.
+    """The inspection sets attached to action i's candidate payments; f(i) > c(i) > 0.
 
-    Returns (S_i, pairs) with S_i a bitmask and pairs = [(j, p, q, S_ij)]
-    for j in A_i in ascending index order, where crit(i, j) = p / q with
-    q > 0 and S_ij is a bitmask.
+    A_i holds the lower-f actions whose critical payment crit(i, j) exceeds
+    the break-even payment c(i)/f(i); S_i is what must be inspected at
+    payment c(i)/f(i); S_ij what must be inspected at crit(i, j) for j in
+    A_i.  Returns (S_i, pairs) with S_i a bitmask and pairs = [(j, p, q,
+    S_ij)] for j in A_i in ascending index order, where crit(i, j) = p / q
+    with q > 0 and S_ij is a bitmask.
     """
     ci, fi = scaled[i]
     s_mask = 0
@@ -84,23 +87,6 @@ def _suggestion_sets(scaled: list[tuple[int, int]], i: int):
                 mask |= bit
         pairs.append((j, p, q, mask))
     return s_mask, pairs
-
-
-def candidate_sets(inst: Instance, i: ActionId):
-    """The inspection sets attached to action i's candidate payments.
-
-    Returns (A_i, S_i, {j: S_ij}) where A_i holds the lower-f actions whose
-    critical payment exceeds the break-even payment c(i)/f(i); S_i is what
-    must be inspected at payment c(i)/f(i); S_ij what must be inspected at
-    the critical payment for j in A_i.
-    """
-    a = inst.action(i)
-    if not a.prob > a.cost > 0:
-        raise ValidationError(f"candidate_sets requires f({i}) > c({i}) > 0")
-    s_mask, pairs = _suggestion_sets(_scaled(inst), inst.index(i))
-    ids = inst.ids
-    S_ij = {ids[j]: inst.ids_of(mask) for j, _, _, mask in pairs}
-    return frozenset(S_ij), inst.ids_of(s_mask), S_ij
 
 
 def solve_deterministic(inst: Instance):

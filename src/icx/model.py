@@ -27,35 +27,63 @@ DEFAULT_TOL = 1e-9
 ActionId = str
 
 
+# The distribution of a scheme that never inspects: the most common optimum,
+# so every scheme equal to it shares this one copy (144 bytes apiece).
+_INSPECT_NOTHING = ((frozenset(), 1.0),)
+
+
 class ValidationError(ValueError):
     """Raised when an instance or scheme violates its structural invariants."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Action:
-    id: ActionId
-    cost: float
-    prob: float
+    """One of the agent's actions: an id, a cost and a success probability.
 
-    def __post_init__(self):
+    Cost and probability are held as the real and imaginary parts of one
+    complex number, which takes 48 bytes less than two float objects and
+    gives both back exactly.  Generated families and batch runs hold
+    thousands of actions.
+    """
+
+    __slots__ = ("id", "_cost_prob")
+    id: ActionId
+    _cost_prob: complex
+
+    def __init__(self, id: ActionId, cost: float, prob: float):
+        if not math.isfinite(cost):
+            raise ValidationError(f"action {id!r}: cost must be finite")
+        if cost < 0:
+            raise ValidationError(f"action {id!r}: cost must be nonnegative")
+        if not 0.0 <= prob <= 1.0:
+            raise ValidationError(f"action {id!r}: prob must be in [0, 1]")
         # Ids are names shared by every instance that uses them; interning
         # keeps one string per name however many actions carry it.
-        if type(self.id) is str:
-            object.__setattr__(self, "id", sys.intern(self.id))
-        if not math.isfinite(self.cost):
-            raise ValidationError(f"action {self.id!r}: cost must be finite")
-        if self.cost < 0:
-            raise ValidationError(f"action {self.id!r}: cost must be nonnegative")
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValidationError(f"action {self.id!r}: prob must be in [0, 1]")
+        object.__setattr__(self, "id", sys.intern(id) if type(id) is str else id)
+        object.__setattr__(self, "_cost_prob", complex(cost, prob))
+
+    @property
+    def cost(self) -> float:
+        return self._cost_prob.real
+
+    @property
+    def prob(self) -> float:
+        return self._cost_prob.imag
+
+    def __repr__(self) -> str:
+        return f"Action(id={self.id!r}, cost={self.cost!r}, prob={self.prob!r})"
+
+    def __reduce__(self):
+        return Action, (self.id, self.cost, self.prob)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """Action set with a null action and an attached inspection cost function.
 
     Action order is significant: the cost function's bitmask bit i refers to
-    ``actions[i]``.
+    ``actions[i]``.  An id is found by scanning the at most MAX_ACTIONS
+    actions, so an instance holds no index beside them.
     """
 
     actions: tuple[Action, ...]
@@ -67,17 +95,15 @@ class Instance:
             raise ValidationError("instance needs at least one action")
         if len(self.actions) > MAX_ACTIONS:
             raise ValidationError(f"at most {MAX_ACTIONS} actions supported")
-        ids = [a.id for a in self.actions]
+        ids = self.ids
         if len(set(ids)) != len(ids):
             raise ValidationError("action ids must be distinct")
-        index = {j: k for k, j in enumerate(ids)}
-        if self.null_id not in index:
+        if self.null_id not in ids:
             raise ValidationError(f"null action {self.null_id!r} not among actions")
-        if self.actions[index[self.null_id]].cost != 0.0:
+        if self.actions[ids.index(self.null_id)].cost != 0.0:
             raise ValidationError("null action must have zero cost")
         if getattr(self.cost_fn, "n", len(ids)) != len(ids):
             raise ValidationError("cost function ground-set size != number of actions")
-        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -97,10 +123,10 @@ class Instance:
         return self.action(j).cost
 
     def index(self, j: ActionId) -> int:
-        try:
-            return self._index[j]
-        except KeyError:
-            raise ValidationError(f"unknown action id {j!r}") from None
+        for k, a in enumerate(self.actions):
+            if a.id == j:
+                return k
+        raise ValidationError(f"unknown action id {j!r}")
 
     def mask_of(self, ids: Iterable[ActionId]) -> int:
         mask = 0
@@ -118,7 +144,7 @@ class Instance:
         return Instance(self.actions, self.null_id, fn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InspectionScheme:
     """Suggested action, payment alpha, and a sparse distribution over subsets.
 
@@ -149,6 +175,8 @@ class InspectionScheme:
         if abs(total - 1.0) > EQ_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
         dist = tuple((s, max(0.0, p)) for s, p in dist)
+        if dist == _INSPECT_NOTHING:
+            dist = _INSPECT_NOTHING
         object.__setattr__(self, "suggested", suggested)
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "distribution", dist)
@@ -184,10 +212,13 @@ def _caught_probability(scheme: InspectionScheme, i: ActionId, j: ActionId) -> f
 
 
 def agent_utility(inst: Instance, scheme: InspectionScheme, j: ActionId) -> float:
-    a = inst.action(j)
-    if j == scheme.suggested:
+    return _agent_utility(scheme, inst.action(j))
+
+
+def _agent_utility(scheme: InspectionScheme, a: Action) -> float:
+    if a.id == scheme.suggested:
         return scheme.alpha * a.prob - a.cost
-    uncaught = 1.0 - _caught_probability(scheme, scheme.suggested, j)
+    uncaught = 1.0 - _caught_probability(scheme, scheme.suggested, a.id)
     return scheme.alpha * a.prob * uncaught - a.cost
 
 
@@ -217,7 +248,7 @@ def best_responses(inst: Instance, scheme: InspectionScheme,
                    tol: float = DEFAULT_TOL) -> set[ActionId]:
     """All actions whose agent utility is within tol of the maximum."""
     check_tolerance(tol)
-    utilities = {a.id: agent_utility(inst, scheme, a.id) for a in inst.actions}
+    utilities = {a.id: _agent_utility(scheme, a) for a in inst.actions}
     top = max(utilities.values())
     return {j for j, u in utilities.items() if u >= top - tol}
 

@@ -397,27 +397,24 @@ class _LPSkeleton:
                 for j in self.active] + [1.0]
 
 
-def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
-                         skeleton: _LPSkeleton | None = None):
-    """Cheapest IC inspection distribution for suggestion i at fixed payment.
+def _lp_at(skeleton: _LPSkeleton, alpha: float):
+    """(x, alpha*f(i) + E[v]) of the skeleton's LP at payment alpha, or (None, inf).
 
-    LP variables are the probabilities of every nonempty subset avoiding i,
-    plus the probability of inspecting {i} alone; the leftover mass inspects
-    nothing.  Returns (scheme, total principal cost alpha*f(i) + E[v]), or
-    (None, inf) when infeasible.  `skeleton` is i's `_LPSkeleton`, built
-    here when not given; alpha must lie in (0, 1].
+    x is the simplex solution, one entry per skeleton column.
     """
     import numpy as np
 
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"LP oracle needs a payment in (0, 1], got {alpha}")
-    if skeleton is None:
-        skeleton = _LPSkeleton(inst, inst.index(i))
     lp = LinearProgram(skeleton.costs, skeleton.A, skeleton.senses,
                        np.array(skeleton.rhs(alpha)))
     status, x, value = simplex_solve(lp)
     if status != "optimal":
         return None, math.inf
+    return x, alpha * skeleton.fs[skeleton.k] + float(value)
+
+
+def _scheme_of(inst: Instance, skeleton: _LPSkeleton, alpha: float, x) -> InspectionScheme:
+    """The inspection scheme of an `_lp_at` solution x at payment alpha."""
+    i = inst.actions[skeleton.k].id
     masks = skeleton.masks
     dist = [(inst.ids_of(masks[col]), float(x[col]))
             for col in range(len(masks)) if x[col] > EQ_TOL]
@@ -431,8 +428,24 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float, *,
         dist = [(s, p / total) for s, p in dist]
         total = sum(p for _, p in dist)
     dist.append((frozenset(), max(0.0, 1.0 - total)))
-    scheme = InspectionScheme(i, alpha, dist)
-    return scheme, alpha * skeleton.fs[skeleton.k] + float(value)
+    return InspectionScheme(i, alpha, dist)
+
+
+def lp_best_distribution(inst: Instance, i: ActionId, alpha: float):
+    """Cheapest IC inspection distribution for suggestion i at fixed payment.
+
+    LP variables are the probabilities of every nonempty subset avoiding i,
+    plus the probability of inspecting {i} alone; the leftover mass inspects
+    nothing.  Returns (scheme, total principal cost alpha*f(i) + E[v]), or
+    (None, inf) when infeasible; alpha must lie in (0, 1].
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"LP oracle needs a payment in (0, 1], got {alpha}")
+    skeleton = _LPSkeleton(inst, inst.index(i))
+    x, cost = _lp_at(skeleton, alpha)
+    if x is None:
+        return None, cost
+    return _scheme_of(inst, skeleton, alpha, x), cost
 
 
 def _golden_minimize(fun, lo: float, hi: float):
@@ -479,7 +492,7 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOL
 
     def consider(utility, scheme):
         nonlocal best
-        if scheme is not None and (best is None or utility > best[0]):
+        if best is None or utility > best[0]:
             best = (utility, scheme)
 
     for k, a in enumerate(inst.actions):
@@ -493,12 +506,12 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOL
         steps = max(1, math.ceil((1.0 - lo) / alpha_resolution))
         grid = [lo + (1.0 - lo) * t / steps for t in range(steps)] + [1.0]
 
-        evaluated = {}
+        evaluated = {}  # payment -> (LP solution, total cost)
         skeleton = _LPSkeleton(inst, k)
 
-        def total_cost(alpha, i=i, skeleton=skeleton):
+        def total_cost(alpha, skeleton=skeleton):
             if alpha not in evaluated:
-                evaluated[alpha] = lp_best_distribution(inst, i, alpha, skeleton=skeleton)
+                evaluated[alpha] = _lp_at(skeleton, alpha)
             return evaluated[alpha][1]
 
         values = [total_cost(alpha) for alpha in grid]
@@ -508,8 +521,9 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOL
         alpha_ref, cost_ref = _golden_minimize(total_cost, left, right)
         if cost_ref < cost_best:
             alpha_best, cost_best = alpha_ref, cost_ref
-        scheme, _ = evaluated[alpha_best]
-        consider(a.prob - cost_best, scheme)
+        x, _ = evaluated[alpha_best]
+        if x is not None:
+            consider(a.prob - cost_best, _scheme_of(inst, skeleton, alpha_best, x))
 
     utility, scheme = best
     return scheme, utility

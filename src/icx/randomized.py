@@ -20,6 +20,11 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
 4.  The best (i, interval, k) is assembled into a scheme supported by at
     most n+1 sets and re-verified IC.
 
+The search runs on action indices and bitmasks, and each rival's curve
+h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero, is settled
+once per suggestion (`_partition`); ids enter only when the winner is
+assembled.  `eta` is the id-based form of the same bound.
+
 The strict constraint 0 < eta_{pi(k+1)} is closed to 0 <= eta_{pi(k+1)}:
 the boundary belongs to the adjacent k, which is also enumerated, so the
 closed union covers every open piece while keeping minima attained.
@@ -125,39 +130,26 @@ def nested_min_cost_distribution(ground: Sequence[Hashable], marginals: Mapping,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Cutpoints of [0,1] where two eta curves cross, plus per-interval order.
+def _partition(f: Sequence[float], c: Sequence[float], ii: int):
+    """Rival curves, payment cutpoints and per-interval orders for suggestion ii.
 
-    `orders[ell]` sorts the constrained actions (those with f > 0) by
-    ascending eta inside interval (cutpoints[ell], cutpoints[ell+1]); the
-    order is the same at every payment in the open interval and for every
-    p_i.  Actions with f = 0 carry no constraint and are never inspected.
+    Returns (curves, cutpoints, orders).  `curves[x]` is None unless x is a
+    constrained rival (x != ii, f(x) > 0); then it is (a, b, h0, h1) with
+    h_x(alpha) = a + b/alpha the p_i level at which eta_x hits zero, h0 the
+    payment where h_x = 0 (None when f(x) = f(ii)) and h1 the payment where
+    h_x = 1.  `orders[ell]` sorts the constrained rivals by ascending eta
+    inside (cutpoints[ell], cutpoints[ell+1]); the order is the same at every
+    payment in the open interval and for every p_i.  Actions with f = 0
+    carry no constraint and are never inspected.
     """
-
-    suggested: ActionId
-    cutpoints: tuple[float, ...]
-    orders: tuple[tuple[ActionId, ...], ...]
-    active: tuple[ActionId, ...]
-
-
-def breakpoints(inst: Instance, i: ActionId) -> IntervalPartition:
-    partition, _ = _partition(inst, inst.index(i), *_arrays(inst))
-    return partition
-
-
-def _arrays(inst: Instance) -> tuple[list[float], list[float]]:
-    """Success probabilities and costs, indexed like the actions."""
-    return [a.prob for a in inst.actions], [a.cost for a in inst.actions]
-
-
-def _partition(inst: Instance, ii: int, f: Sequence[float], c: Sequence[float]):
-    """breakpoints() for the action at index ii, plus each order as indices."""
     fi, ci = f[ii], c[ii]
-    i = inst.actions[ii].id
-    if not fi > ci > 0.0:
-        raise ValidationError(f"breakpoints requires f({i}) > c({i}) > 0")
-    active = [x for x in range(len(f)) if x != ii and f[x] > 0.0]
+    curves: list[Optional[tuple]] = [None] * len(f)
+    active = []
+    for x, (fx, cx) in enumerate(zip(f, c)):
+        if x != ii and fx > 0.0:
+            active.append(x)
+            curves[x] = (1.0 - fi / fx, (ci - cx) / fx,
+                         None if fi == fx else (ci - cx) / (fi - fx), (ci - cx) / fi)
     pts = []
     for s, x in enumerate(active):
         fx, cx = f[x], c[x]
@@ -175,21 +167,68 @@ def _partition(inst: Instance, ii: int, f: Sequence[float], c: Sequence[float]):
             cutpoints.append(p)
     cutpoints.append(1.0)
 
-    # h_x(alpha) = a + b/alpha, the p_i level at which eta_x hits zero.
-    a = {x: 1.0 - fi / f[x] for x in active}
-    b = {x: (ci - c[x]) / f[x] for x in active}
     orders = []
     for ell in range(len(cutpoints) - 1):
         mid = 0.5 * (cutpoints[ell] + cutpoints[ell + 1])
-        orders.append(sorted(active, key=lambda x: (a[x] + b[x] / mid, x)))
-    # Tuples built from lists, not generators: a generator's tuple is
-    # allocated at a guessed size and resized, so it bypasses CPython's
-    # per-size tuple free lists on the way in and fills them on the way out.
-    ids = [act.id for act in inst.actions]
-    partition = IntervalPartition(
-        i, tuple(cutpoints), tuple([tuple([ids[x] for x in order]) for order in orders]),
-        tuple([ids[x] for x in active]))
-    return partition, orders
+        orders.append(sorted(active, key=lambda x: (curves[x][0] + curves[x][1] / mid, x)))
+    return curves, cutpoints, orders
+
+
+@dataclass(frozen=True, slots=True)
+class _Interval:
+    """What every split k of one interval of suggestion ii shares.
+
+    `lo`..`hi` is the interval's payment span above break-even c(i)/f(i).
+    For its eta order (action indices `order`): `w[t]` = v({order[t], ...,
+    order[-1]}) with w[len] = 0, `curves[t]` is order[t]'s curve from
+    `_partition`, `tail[t]` = (c, f, w[t] - w[t+1]) of order[t] and `bdw[t]`
+    = b * (w[t] - w[t+1]).  `v_i` = v({i}).
+    """
+
+    ii: int
+    ell: int
+    lo: float
+    hi: float
+    fi: float
+    ci: float
+    v_i: float
+    order: list[int]
+    w: list[float]
+    curves: list[tuple]
+    tail: list[tuple[float, float, float]]
+    bdw: list[float]
+
+
+def _intervals(inst: Instance, ii: int):
+    """Yield the interval contexts of suggestion ii (f > c > 0) that reach break-even.
+
+    Values are read through one memo (mask -> value) for the suggestion.
+    """
+    f = [a.prob for a in inst.actions]
+    c = [a.cost for a in inst.actions]
+    fi, ci = f[ii], c[ii]
+    curves, cutpoints, orders = _partition(f, c, ii)
+    value = inst.cost_fn.value
+    memo: dict[int, float] = {}
+    v_i = value(1 << ii)
+    for ell, order in enumerate(orders):
+        lo = max(cutpoints[ell], ci / fi)
+        hi = cutpoints[ell + 1]
+        if lo > hi + EQ_TOL:
+            continue
+        w = [0.0]
+        mask = 0
+        for x in reversed(order):
+            mask |= 1 << x
+            if mask not in memo:
+                memo[mask] = value(mask)
+            w.append(memo[mask])
+        w.reverse()
+        rivals = [curves[x] for x in order]
+        dw = [w[t] - w[t + 1] for t in range(len(order))]
+        yield _Interval(ii, ell, min(lo, hi), hi, fi, ci, v_i, order, w, rivals,
+                        [(c[x], f[x], d) for x, d in zip(order, dw)],
+                        [cv[1] * d for cv, d in zip(rivals, dw)])
 
 
 # ---------------------------------------------------------------------------
@@ -197,194 +236,77 @@ def _partition(inst: Instance, ii: int, f: Sequence[float], c: Sequence[float]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubproblemResult:
-    i: ActionId
-    ell: int
-    k: int
-    alpha: float
-    p_i: float
-    objective: float  # alpha*f(i) + expected inspection cost
-    feasible: bool
+def _level(curve: Optional[tuple], alpha: float, missing: float) -> float:
+    """h(alpha) = a + b/alpha of a curve; `missing` past either end of the order."""
+    return missing if curve is None else curve[0] + curve[1] / alpha
 
 
-class _Interval:
-    """What every split k of one interval shares, computed once per interval.
+def solve_subproblem(ctx: _Interval, k: int) -> Optional[tuple[float, float, float]]:
+    """Exact minimizer (objective, alpha, p_i) of one interval/split, or None.
 
-    For the interval's eta order (action indices `order`): `fs`/`cs` are
-    their success probabilities and costs, `w[t]` = v({order[t], ...,
-    order[-1]}) with w[len] = 0, `coeffs[t]` = (a, b) with h_{order[t]}(alpha)
-    = a + b/alpha, `tail[t]` = (cs[t], fs[t], w[t] - w[t+1]) and `bdw[t]` =
-    b * (w[t] - w[t+1]).  Values are read through `memo` (mask -> value),
-    which callers share across the intervals of one suggestion.
+    The objective is alpha*f(i) + p_i*v({i}) + sum_{t>=k} eta_t * (w_t -
+    w_{t+1}) (telescoped).  Constraints: eta_{pi(k)} <= 0 <= eta_{pi(k+1)}
+    (closed form of the open split), the interval's payment span, and 0 <=
+    p_i <= 1.  Every eta is affine in p_i and a + b/alpha in alpha, so for
+    fixed alpha the optimal p_i sits at a constraint edge and each resulting
+    alpha-piece has the shape A + B*alpha + D/alpha.
     """
-
-    __slots__ = ("fi", "ci", "fs", "cs", "w", "coeffs", "tail", "bdw", "v_i")
-
-    def __init__(self, inst: Instance, ii: int, order: Sequence[int],
-                 f: Sequence[float], c: Sequence[float], memo: dict):
-        value = inst.cost_fn.value
-
-        def read(mask: int) -> float:
-            if mask not in memo:
-                memo[mask] = value(mask)
-            return memo[mask]
-
-        fi, ci = self.fi, self.ci = f[ii], c[ii]
-        fs = self.fs = [f[x] for x in order]
-        cs = self.cs = [c[x] for x in order]
-        w = [0.0]
-        mask = 0
-        for x in reversed(order):
-            mask |= 1 << x
-            w.append(read(mask))
-        w.reverse()
-        self.w = w
-        self.coeffs = [(1.0 - fi / fj, (ci - cj) / fj) for fj, cj in zip(fs, cs)]
-        dw = [w[t] - w[t + 1] for t in range(len(order))]
-        self.tail = list(zip(cs, fs, dw))
-        self.bdw = [b * d for (_, b), d in zip(self.coeffs, dw)]
-        self.v_i = read(1 << ii)
-
-
-def _payment_range(partition: IntervalPartition, ell: int, fi: float, ci: float):
-    """(lo, hi) payments of interval ell above break-even c(i)/f(i), or None."""
-    lo = max(partition.cutpoints[ell], ci / fi)
-    hi = partition.cutpoints[ell + 1]
-    if lo > hi + EQ_TOL:
-        return None
-    return min(lo, hi), hi
-
-
-def subproblem_objective(inst: Instance, i: ActionId, order: Sequence[ActionId],
-                         k: int, alpha: float, p_i: float,
-                         w: Optional[Sequence[float]] = None,
-                         v_i: Optional[float] = None) -> float:
-    """alpha*f(i) + p_i*v({i}) + sum_{t>k} eta_t * (w_t - w_{t+1})  (telescoped).
-
-    The id-based reference for the objective solve_subproblem evaluates;
-    w[t] = v({order[t], ..., order[-1]}) with w[len] = 0.
-    """
-    if w is None:
-        w = [inst.inspection_cost(order[t:]) for t in range(len(order))] + [0.0]
-    if v_i is None:
-        v_i = inst.inspection_cost([i])
-    total = alpha * inst.f(i) + p_i * v_i
-    for t in range(k, len(order)):
-        total += eta(inst, i, order[t], alpha, p_i) * (w[t] - w[t + 1])
-    return total
-
-
-def solve_subproblem(inst: Instance, partition: IntervalPartition, ell: int, k: int,
-                     _ctx: Optional[_Interval] = None) -> SubproblemResult:
-    """Exact minimizer of the interval/split subproblem, or feasible=False.
-
-    Constraints: eta_{pi(k)} <= 0 <= eta_{pi(k+1)} (closed form of the open
-    split), max(interval start, c(i)/f(i)) <= alpha <= interval end, and
-    0 <= p_i <= 1.  Every eta is affine in p_i and a + b/alpha in alpha, so
-    for fixed alpha the optimal p_i sits at a constraint edge and each
-    resulting alpha-piece has the shape A + B*alpha + D/alpha.
-    """
-    i = partition.suggested
-    n_a = len(partition.orders[ell])
+    n_a = len(ctx.order)
     if not 0 <= k <= n_a:
         raise ValidationError(f"split index k={k} outside 0..{n_a}")
-    if _ctx is None:
-        ii = inst.index(i)
-        f, c = _arrays(inst)
-        if _payment_range(partition, ell, f[ii], c[ii]) is None:
-            return _infeasible(i, ell, k)
-        order = [inst.index(j) for j in partition.orders[ell]]
-        _ctx = _Interval(inst, ii, order, f, c, {})
-    fi, ci = _ctx.fi, _ctx.ci
-    span = _payment_range(partition, ell, fi, ci)
-    if span is None:
-        return _infeasible(i, ell, k)
-    lo, hi = span
+    lo, hi, fi = ctx.lo, ctx.hi, ctx.fi
+    # The boundary curves: p_i >= h_{pi(k)} and p_i <= h_{pi(k+1)}.
+    below = ctx.curves[k - 1] if k >= 1 else None
+    above = ctx.curves[k] if k < n_a else None
+    gamma = ctx.v_i - ctx.w[k]
+    tail = ctx.tail[k:]
 
-    v_i = _ctx.v_i
-    gamma = v_i - _ctx.w[k]
-    coeffs = _ctx.coeffs
-    tail = _ctx.tail[k:]
-
-    def h(idx: int, alpha: float) -> float:
-        if idx < 0:
-            return -math.inf
-        if idx >= n_a:
-            return math.inf
-        a, b = coeffs[idx]
-        return a + b / alpha
-
-    # Cut the alpha range where the boundary curves h_{pi(k)}, h_{pi(k+1)}
-    # cross 0 or 1; branch formulas and feasibility signs are constant on
-    # each resulting piece.
+    # Cut the alpha range where the boundary curves cross 0 or 1; branch
+    # formulas and feasibility signs are constant on each resulting piece.
     cuts = {lo, hi}
-    for idx in (k - 1, k):  # 0-based positions of pi(k) and pi(k+1)
-        if 0 <= idx < n_a:
-            fj, cj = _ctx.fs[idx], _ctx.cs[idx]
-            if fi != fj:
-                x = (ci - cj) / (fi - fj)  # h_j = 0
-                if lo < x < hi:
+    for curve in (below, above):
+        if curve is not None:
+            for x in curve[2:]:
+                if x is not None and lo < x < hi:
                     cuts.add(x)
-            x = (ci - cj) / fi  # h_j = 1
-            if lo < x < hi:
-                cuts.add(x)
     grid = sorted(cuts)
 
-    base_D = sum(_ctx.bdw[k:])
-
-    def p_at(alpha: float) -> Optional[float]:
-        """Optimal p_i for fixed alpha, clamped into the constraint box."""
-        lo_p = max(0.0, h(k - 1, alpha))
-        hi_p = min(1.0, h(k, alpha))
-        if lo_p > hi_p + EQ_TOL:
-            return None
-        p = lo_p if gamma >= 0.0 else hi_p
-        return min(max(p, 0.0), 1.0)
-
-    def evaluate(alpha: float):
-        """subproblem_objective at (alpha, p_at(alpha)), with eta's operand order."""
-        p = p_at(alpha)
-        if p is None:
-            return None
-        pay = alpha * fi
-        rate = pay - ci
-        keep = 1.0 - p
-        total = pay + p * v_i
-        for cj, fj, dw in tail:
-            total += (keep - (rate + cj) / (alpha * fj)) * dw
-        return total, alpha, p
-
+    base_D = sum(ctx.bdw[k:])
     best = None
     for a0, a1 in zip(grid, grid[1:]) if len(grid) > 1 else [(lo, hi)]:
         mid = 0.5 * (a0 + a1)
-        if h(k - 1, mid) > 1.0 + EQ_TOL or h(k, mid) < -EQ_TOL:
+        h_low, h_high = _level(below, mid, -math.inf), _level(above, mid, math.inf)
+        if h_low > 1.0 + EQ_TOL or h_high < -EQ_TOL:
             continue
         # Piece objective A + B*alpha + D/alpha after substituting p_i(alpha).
         D = base_D
         if gamma >= 0.0:
-            if k >= 1 and h(k - 1, mid) > 0.0:
-                D += gamma * coeffs[k - 1][1]
-        else:
-            if h(k, mid) < 1.0:
-                D += gamma * coeffs[k][1]
+            if h_low > 0.0:
+                D += gamma * below[1]
+        elif h_high < 1.0:
+            D += gamma * above[1]
         cands = [a0, a1]
         if D > 0.0:
             star = math.sqrt(D / fi)
             if a0 < star < a1:
                 cands.append(star)
         for alpha in cands:
-            got = evaluate(alpha)
-            if got is not None and (best is None or got[0] < best[0]):
-                best = got
-    if best is None:
-        return _infeasible(i, ell, k)
-    obj, alpha, p = best
-    return SubproblemResult(i, ell, k, alpha, p, obj, True)
-
-
-def _infeasible(i: ActionId, ell: int, k: int) -> SubproblemResult:
-    return SubproblemResult(i, ell, k, math.nan, math.nan, math.inf, False)
+            # The optimal p_i for this alpha, clamped into the constraint box.
+            lo_p = max(0.0, _level(below, alpha, -math.inf))
+            hi_p = min(1.0, _level(above, alpha, math.inf))
+            if lo_p > hi_p + EQ_TOL:
+                continue
+            p = min(max(lo_p if gamma >= 0.0 else hi_p, 0.0), 1.0)
+            # The objective at (alpha, p), with eta's float operation order.
+            pay = alpha * fi
+            rate = pay - ctx.ci
+            keep = 1.0 - p
+            total = pay + p * ctx.v_i
+            for cj, fj, dw in tail:
+                total += (keep - (rate + cj) / (alpha * fj)) * dw
+            if best is None or total < best[0]:
+                best = (total, alpha, p)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +314,9 @@ def _infeasible(i: ActionId, ell: int, k: int) -> SubproblemResult:
 # ---------------------------------------------------------------------------
 
 
-def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
-                    partition: IntervalPartition, ell: int, k: int) -> InspectionScheme:
-    """Materialize the winning subproblem as an inspection scheme.
+def assemble_scheme(inst: Instance, ctx: _Interval, k: int, alpha: float,
+                    p_i: float) -> InspectionScheme:
+    """Materialize split k of interval `ctx` at (alpha, p_i) as an inspection scheme.
 
     Marginals are eta clamped into [0, 1] beyond the split (zero up to it);
     the chain construction over the constrained actions realizes them at
@@ -402,41 +324,24 @@ def assemble_scheme(inst: Instance, i: ActionId, result: SubproblemResult,
     probability p_i.
     The result must pass the IC check; a failure is a solver bug.
     """
-    if not result.feasible:
-        raise ValidationError("cannot assemble an infeasible subproblem result")
-    order = partition.orders[ell]
-    marginals = {}
-    for t, j in enumerate(order):
-        if t < k:
-            marginals[j] = 0.0
-        else:
-            # On tied instances eta can round just above 1; clamp into [0, 1].
-            marginals[j] = min(max(0.0, eta(inst, i, j, result.alpha, result.p_i)), 1.0)
-    nested = nested_min_cost_distribution(order, marginals, 1.0 - result.p_i,
-                                          inst.inspection_cost)
+    ids = inst.ids
+    i = ids[ctx.ii]
+    order = [ids[x] for x in ctx.order]
+    rate = alpha * ctx.fi - ctx.ci
+    keep = 1.0 - p_i
+    marginals = dict.fromkeys(order[:k], 0.0)
+    for j, (cj, fj, _) in zip(order[k:], ctx.tail[k:]):
+        # On tied instances eta can round just above 1; clamp into [0, 1].
+        marginals[j] = min(max(0.0, keep - (rate + cj) / (alpha * fj)), 1.0)
+    nested = nested_min_cost_distribution(order, marginals, keep)
     dist: list[tuple[frozenset, float]] = list(nested.levels)
-    if result.p_i > 0.0:
-        dist.append((frozenset([i]), result.p_i))
+    if p_i > 0.0:
+        dist.append((frozenset([i]), p_i))
     dist.append((_NOTHING, nested.empty_mass))
-    scheme = InspectionScheme(i, result.alpha, dist)
+    scheme = InspectionScheme(i, alpha, dist)
     if not is_IC(inst, scheme):
         raise AssertionError(f"solver bug: assembled scheme for {i} is not IC")
     return scheme
-
-
-def _enumerate_candidates(inst: Instance, ii: int):
-    """Yield every feasible (partition, result) for the action at index ii (f > c > 0)."""
-    f, c = _arrays(inst)
-    partition, orders = _partition(inst, ii, f, c)
-    memo: dict = {}
-    for ell, order in enumerate(orders):
-        if _payment_range(partition, ell, f[ii], c[ii]) is None:
-            continue
-        ctx = _Interval(inst, ii, order, f, c, memo)
-        for k in range(len(order) + 1):
-            res = solve_subproblem(inst, partition, ell, k, _ctx=ctx)
-            if res.feasible:
-                yield partition, res
 
 
 def solve_randomized(inst: Instance) -> reports.SolveReport:
@@ -445,13 +350,13 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
     The cost is checked exhaustively when n <= 10 and otherwise trusted with
     a warning in the report.  A failed check raises SubmodularityError.
     """
-    warnings = []
+    warnings = ()
     if inst.n <= 10:
         ok, witness = check_submodular(inst.cost_fn, inst.n, mode="exhaustive")
         if not ok:
             raise SubmodularityError(witness)
     else:
-        warnings.append("submodularity unverified (n > 10); result trusted")
+        warnings = ("submodularity unverified (n > 10); result trusted",)
 
     best = None  # (utility, -index, -alpha) -> payload
 
@@ -469,21 +374,23 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
             continue
         if a.prob <= a.cost:
             continue
-        for partition, res in _enumerate_candidates(inst, ii):
-            consider(a.prob - res.objective, ii, res.alpha,
-                     ("subproblem", i, partition, res))
+        for ctx in _intervals(inst, ii):
+            for k in range(len(ctx.order) + 1):
+                res = solve_subproblem(ctx, k)
+                if res is not None:
+                    consider(a.prob - res[0], ii, res[1], ("subproblem", i, ctx, k, res))
 
     payload = best[1]
     if payload[0] == "zero_cost":
         _, i, scheme, utility = payload
         provenance = {"kind": "zero_cost", "suggested": i}
     else:
-        _, i, partition, res = payload
-        scheme = assemble_scheme(inst, i, res, partition, res.ell, res.k)
-        utility = inst.f(i) - res.objective
+        _, i, ctx, k, (objective, alpha, p_i) = payload
+        scheme = assemble_scheme(inst, ctx, k, alpha, p_i)
+        utility = inst.f(i) - objective
         provenance = {
-            "kind": "subproblem", "suggested": i, "interval": res.ell,
-            "k": res.k, "alpha": res.alpha, "p_suggested": res.p_i,
+            "kind": "subproblem", "suggested": i, "interval": ctx.ell,
+            "k": k, "alpha": alpha, "p_suggested": p_i,
         }
     return reports.build_report(
-        inst, "rand", scheme, provenance=provenance, warnings=tuple(warnings))
+        inst, "rand", scheme, provenance=provenance, warnings=warnings)

@@ -17,7 +17,7 @@ from .model import InspectionScheme, Instance, expected_inspection_cost
 __version__ = "0.1.0"
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     mode: str
     digest: Optional[str]

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from icx import costfn
-from icx.deterministic import DetCandidate, candidate_sets, solve_deterministic
+from icx.deterministic import (DetCandidate, _scaled, _suggestion_sets,
+                               solve_deterministic)
 from icx.families import gen_gap_instance, gen_intro_example
 from icx.model import Action, Instance, ValidationError, is_IC
 from conftest import GRID, random_instance, random_monotone_table
@@ -90,6 +91,14 @@ def _ref_solve_deterministic(inst):
     return best, candidates
 
 
+def candidate_sets(inst, i):
+    """(A_i, S_i, {j: S_ij}) from `_suggestion_sets` for action id i, as id sets."""
+    s_mask, pairs = _suggestion_sets(_scaled(inst), inst.index(i))
+    ids = inst.ids
+    S_ij = {ids[j]: inst.ids_of(mask) for j, _, _, mask in pairs}
+    return frozenset(S_ij), inst.ids_of(s_mask), S_ij
+
+
 def _battery_instance(rng, n):
     """Grid ties, shared success probabilities, free and f = 0 actions."""
     costs = [k / 16 for k in range(18)]
@@ -162,11 +171,6 @@ class TestCandidateSets:
         A_i, S_i, _ = candidate_sets(inst, "i")
         assert A_i == frozenset()
         assert S_i == frozenset()
-
-    def test_precondition(self):
-        inst = gen_intro_example()
-        with pytest.raises(ValidationError):
-            candidate_sets(inst, "bot")
 
 
 class TestSolveDeterministic:

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,17 @@ class TestValidation:
         assert not hasattr(a, "__dict__")
         assert a.id is Action("a7", 0.2, 0.6).id
         assert a == Action("a7", 0.1, 0.5)
+
+    def test_action_values_read_back_exactly(self):
+        # Cost and probability share one complex number; both come back as
+        # the floats given, and the action stays immutable and picklable.
+        a = Action("a", 0.1 + 0.2, 1 / 3)
+        assert (a.cost, a.prob) == (0.1 + 0.2, 1 / 3)
+        assert math.copysign(1.0, Action("a", -0.0, 0.5).cost) == -1.0
+        assert a == pickle.loads(pickle.dumps(a))
+        assert hash(a) == hash(Action("a", 0.1 + 0.2, 1 / 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.cost = 0.5
 
     def test_instance_id_lookups(self):
         inst = gen_intro_example()

@@ -252,8 +252,7 @@ class TestRandomizedBruteForce:
                 skeleton = oracle._LPSkeleton(inst, k)
                 top = a.prob / a.cost
                 ts = [1.0 + (top - 1.0) * s / 16 for s in range(17)]
-                costs = [lp_best_distribution(inst, a.id, 1.0 / t, skeleton=skeleton)[1]
-                         for t in ts]
+                costs = [oracle._lp_at(skeleton, 1.0 / t)[1] for t in ts]
                 for left, mid, right in zip(costs, costs[1:], costs[2:]):
                     assert left - 2.0 * mid + right >= -1e-9
                     checked += 1
@@ -451,18 +450,37 @@ class TestIndexNativeOracles:
                 refs = [_answer(_ref_lp_best_distribution(inst, a.id, alpha))
                         for alpha in alphas]
                 for alpha, ref in zip(alphas, refs):
-                    assert _answer(lp_best_distribution(
-                        inst, a.id, alpha, skeleton=skeleton)) == ref
+                    x, cost = oracle._lp_at(skeleton, alpha)
+                    scheme = None if x is None else oracle._scheme_of(inst, skeleton, alpha, x)
+                    assert _answer((scheme, cost)) == ref
                 # One query per mask, when the skeleton is built; none per payment.
                 assert counted.value_queries == 1 << (inst.n - 1)
                 assert _answer(lp_best_distribution(inst, a.id, alphas[0])) == refs[0]
+
+    def test_randomized_wraps_one_scheme_per_suggestion(self, monkeypatch):
+        wrapped = []
+        scheme_of = oracle._scheme_of
+
+        def spy(inst, skeleton, alpha, x):
+            wrapped.append(skeleton.k)
+            return scheme_of(inst, skeleton, alpha, x)
+
+        monkeypatch.setattr(oracle, "_scheme_of", spy)
+        for inst in _battery(60):
+            wrapped.clear()
+            brute_force_randomized(inst, alpha_resolution=0.02)
+            eligible = [k for k, a in enumerate(inst.actions) if a.prob > a.cost > 0.0]
+            assert wrapped == eligible
 
     def test_randomized_matches_reference(self, monkeypatch):
         insts = _battery()
         got = [_answer(brute_force_randomized(inst, alpha_resolution=0.02))
                for inst in insts]
-        monkeypatch.setattr(oracle, "lp_best_distribution",
-                            lambda inst, i, alpha, skeleton=None:
-                            _ref_lp_best_distribution(inst, i, alpha))
+        # The oracle's search over payments, with the reference LP in place
+        # of the skeleton's at every payment it tries.
+        monkeypatch.setattr(oracle, "_scheme_of", lambda inst, skeleton, alpha, x: x)
         for inst, answer in zip(insts, got):
+            monkeypatch.setattr(oracle, "_lp_at", lambda skeleton, alpha, inst=inst:
+                                _ref_lp_best_distribution(
+                                    inst, inst.actions[skeleton.k].id, alpha))
             assert answer == _answer(brute_force_randomized(inst, alpha_resolution=0.02))

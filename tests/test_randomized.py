@@ -12,12 +12,40 @@ from icx.deterministic import solve_deterministic
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import Action, Instance, ValidationError, is_IC, marginal
 from icx.oracle import lp_min_cost_given_marginals
-from icx.randomized import (SubmodularityError, assemble_scheme, breakpoints,
-                            eta, nested_min_cost_distribution, solve_randomized,
-                            solve_subproblem, subproblem_objective)
+from icx.randomized import (SubmodularityError, _intervals, _partition,
+                            assemble_scheme, eta, nested_min_cost_distribution,
+                            solve_randomized, solve_subproblem)
 from icx.serialization import canonical_dumps
 from conftest import (random_coupling, random_instance, random_marginals,
                       random_submodular_fn)
+
+
+def partition(inst, i):
+    """(cutpoints, orders, active) of suggestion i, with ids for action indices."""
+    f = [a.prob for a in inst.actions]
+    c = [a.cost for a in inst.actions]
+    curves, cutpoints, orders = _partition(f, c, inst.index(i))
+    ids = inst.ids
+    return (tuple(cutpoints), tuple(tuple(ids[x] for x in order) for order in orders),
+            tuple(ids[x] for x, curve in enumerate(curves) if curve is not None))
+
+
+def interval(inst, i, ell):
+    """Interval ell of suggestion i, which must reach the break-even payment."""
+    return next(ctx for ctx in _intervals(inst, inst.index(i)) if ctx.ell == ell)
+
+
+def subproblem_objective(inst, i, order, k, alpha, p_i):
+    """alpha*f(i) + p_i*v({i}) + sum_{t>=k} eta_t * (w_t - w_{t+1}), from ids.
+
+    The id-based reference for the objective solve_subproblem evaluates;
+    w[t] = v({order[t], ..., order[-1]}) with w[len] = 0.
+    """
+    w = [inst.inspection_cost(order[t:]) for t in range(len(order))] + [0.0]
+    total = alpha * inst.f(i) + p_i * inst.inspection_cost([i])
+    for t in range(k, len(order)):
+        total += eta(inst, i, order[t], alpha, p_i) * (w[t] - w[t + 1])
+    return total
 
 
 class TestEta:
@@ -107,24 +135,24 @@ class TestNestedDistribution:
 
 class TestBreakpoints:
     def test_intro_cutpoints(self):
-        part = breakpoints(gen_intro_example(), "g")
-        assert len(part.cutpoints) == 3
-        assert part.cutpoints[0] == 0.0 and part.cutpoints[-1] == 1.0
-        assert part.cutpoints[1] == pytest.approx(0.375, abs=1e-12)
-        assert part.active == ("bot", "b")
+        cutpoints, _, active = partition(gen_intro_example(), "g")
+        assert len(cutpoints) == 3
+        assert cutpoints[0] == 0.0 and cutpoints[-1] == 1.0
+        assert cutpoints[1] == pytest.approx(0.375, abs=1e-12)
+        assert active == ("bot", "b")
 
     def test_two_actions_no_pairs(self):
         inst = Instance((Action("bot", 0.0, 0.0), Action("i", 0.2, 0.6)),
                         "bot", costfn.Additive([0.5, 0.5]))
-        part = breakpoints(inst, "i")
-        assert part.cutpoints == (0.0, 1.0)
-        assert part.orders == ((),)
+        cutpoints, orders, _ = partition(inst, "i")
+        assert cutpoints == (0.0, 1.0)
+        assert orders == ((),)
 
     def test_nonic_zero_success_pair_discarded(self):
         inst, _, _ = gen_nonic_example()
-        part = breakpoints(inst, "2")
-        assert part.cutpoints == (0.0, 1.0)
-        assert part.orders == (("1",),)
+        cutpoints, orders, _ = partition(inst, "2")
+        assert cutpoints == (0.0, 1.0)
+        assert orders == (("1",),)
 
     def test_order_invariance_within_intervals(self, rng):
         for trial in range(40):
@@ -132,9 +160,9 @@ class TestBreakpoints:
             for a in inst.actions:
                 if not a.prob > a.cost > 0:
                     continue
-                part = breakpoints(inst, a.id)
-                for ell in range(len(part.orders)):
-                    lo, hi = part.cutpoints[ell], part.cutpoints[ell + 1]
+                cutpoints, part_orders, active = partition(inst, a.id)
+                for ell in range(len(part_orders)):
+                    lo, hi = cutpoints[ell], cutpoints[ell + 1]
                     if hi - lo < 1e-9:
                         continue
                     p_i = rng.random()
@@ -143,97 +171,97 @@ class TestBreakpoints:
                     for alpha in samples:
                         keyed = sorted(
                             (eta(inst, a.id, j, alpha, p_i), inst.index(j), j)
-                            for j in part.active)
+                            for j in active)
                         orders.append(tuple(j for _, _, j in keyed))
-                    assert orders[0] == orders[1] == part.orders[ell]
+                    assert orders[0] == orders[1] == part_orders[ell]
 
 
 class TestSubproblem:
     def test_nonic_closed_form(self):
         inst, _, refs = gen_nonic_example()
-        part = breakpoints(inst, "2")
-        res = solve_subproblem(inst, part, 0, 0)
-        assert res.feasible
-        assert res.alpha == pytest.approx(math.sqrt(0.3), abs=1e-12)
-        assert res.p_i == pytest.approx(0.0, abs=1e-12)
-        assert inst.f("2") - res.objective == pytest.approx(
+        res = solve_subproblem(interval(inst, "2", 0), 0)
+        assert res is not None
+        objective, alpha, p_i = res
+        assert alpha == pytest.approx(math.sqrt(0.3), abs=1e-12)
+        assert p_i == pytest.approx(0.0, abs=1e-12)
+        assert inst.f("2") - objective == pytest.approx(
             refs["ic_randomized_optimum"], abs=1e-12)
 
     def test_intro_corner_optimum(self):
         inst = gen_intro_example()
-        part = breakpoints(inst, "g")
-        res = solve_subproblem(inst, part, 1, 0)
-        assert res.feasible
-        assert res.alpha == pytest.approx(3 / 8, abs=1e-9)
-        assert res.p_i == pytest.approx(1 / 3, abs=1e-9)
-        assert inst.f("g") - res.objective == pytest.approx(71 / 120, abs=1e-9)
+        res = solve_subproblem(interval(inst, "g", 1), 0)
+        assert res is not None
+        objective, alpha, p_i = res
+        assert alpha == pytest.approx(3 / 8, abs=1e-9)
+        assert p_i == pytest.approx(1 / 3, abs=1e-9)
+        assert inst.f("g") - objective == pytest.approx(71 / 120, abs=1e-9)
 
     def test_infeasible_split(self):
         # The rival is so costly its constraint can never bind from below.
         inst = Instance((Action("bot", 0.0, 0.0), Action("i", 0.1, 0.5),
                          Action("j", 0.9, 0.6)), "bot",
                         costfn.Additive([0.1, 0.1, 0.1]))
-        part = breakpoints(inst, "i")
-        res = solve_subproblem(inst, part, 0, 0)
-        assert not res.feasible
+        res = solve_subproblem(interval(inst, "i", 0), 0)
+        assert res is None
 
     def test_objective_matches_reassembled_cost(self, rng):
         # The telescoped objective must equal payment-rate + expected cost of
         # the assembled distribution.
         for trial in range(40):
             inst = random_instance(rng, rng.randint(2, 5), fn_kind="submodular")
-            for a in inst.actions:
+            for ii, a in enumerate(inst.actions):
                 if not a.prob > a.cost > 0:
                     continue
-                part = breakpoints(inst, a.id)
-                for ell in range(len(part.orders)):
-                    for k in range(len(part.orders[ell]) + 1):
-                        res = solve_subproblem(inst, part, ell, k)
-                        if not res.feasible:
+                for ctx in _intervals(inst, ii):
+                    for k in range(len(ctx.order) + 1):
+                        res = solve_subproblem(ctx, k)
+                        if res is None:
                             continue
-                        scheme = assemble_scheme(inst, a.id, res, part, ell, k)
+                        objective, alpha, p_i = res
+                        scheme = assemble_scheme(inst, ctx, k, alpha, p_i)
                         cost = sum(p * inst.inspection_cost(s)
                                    for s, p in scheme.distribution)
-                        assert res.objective == pytest.approx(
-                            res.alpha * a.prob + cost, abs=1e-9)
+                        assert objective == pytest.approx(
+                            alpha * a.prob + cost, abs=1e-9)
 
     def test_objective_equals_id_based_reference(self, rng):
         # The index-native evaluation keeps eta's float operation order, so
         # it reproduces the id-based reference bit for bit.
         for trial in range(40):
             inst = random_instance(rng, rng.randint(2, 7), fn_kind="submodular")
-            for a in inst.actions:
+            for ii, a in enumerate(inst.actions):
                 if not a.prob > a.cost > 0:
                     continue
-                part = breakpoints(inst, a.id)
-                for ell in range(len(part.orders)):
-                    for k in range(len(part.orders[ell]) + 1):
-                        res = solve_subproblem(inst, part, ell, k)
-                        if res.feasible:
-                            assert res.objective == subproblem_objective(
-                                inst, a.id, part.orders[ell], k, res.alpha, res.p_i)
+                _, orders, _ = partition(inst, a.id)
+                for ctx in _intervals(inst, ii):
+                    for k in range(len(ctx.order) + 1):
+                        res = solve_subproblem(ctx, k)
+                        if res is not None:
+                            objective, alpha, p_i = res
+                            assert objective == subproblem_objective(
+                                inst, a.id, orders[ctx.ell], k, alpha, p_i)
 
 
 class TestAssemble:
     def test_single_binding_deviation(self):
         inst, _, refs = gen_nonic_example()
-        part = breakpoints(inst, "2")
-        res = solve_subproblem(inst, part, 0, 0)
-        scheme = assemble_scheme(inst, "2", res, part, 0, 0)
+        ctx = interval(inst, "2", 0)
+        _, alpha, p_i = solve_subproblem(ctx, 0)
+        scheme = assemble_scheme(inst, ctx, 0, alpha, p_i)
         support = {s for s, p in scheme.distribution if p > 0}
         assert support == {frozenset(["1"]), frozenset()}
         assert marginal(scheme, "1") == pytest.approx(
-            eta(inst, "2", "1", res.alpha, 0.0), abs=1e-12)
+            eta(inst, "2", "1", alpha, 0.0), abs=1e-12)
         assert is_IC(inst, scheme, 1e-9)
 
     def test_all_slack_degenerate_split(self):
         inst = Instance((Action("bot", 0.0, 0.0), Action("i", 0.1, 0.5),
                          Action("j", 0.9, 0.6)), "bot",
                         costfn.Additive([0.1, 0.1, 0.1]))
-        part = breakpoints(inst, "i")
-        k = len(part.orders[0])
-        res = solve_subproblem(inst, part, 0, k)
-        scheme = assemble_scheme(inst, "i", res, part, 0, k)
+        ctx = interval(inst, "i", 0)
+        k = len(ctx.order)
+        _, alpha, p_i = solve_subproblem(ctx, k)
+        scheme = assemble_scheme(inst, ctx, k, alpha, p_i)
         assert {s for s, p in scheme.distribution if p > 0} <= {
             frozenset(["i"]), frozenset()}
 
@@ -344,6 +372,40 @@ class TestSolveRandomized:
             assert abs(report.utility - oracle_utility) <= 1e-4
 
 
+# Rivals whose success probability is ~1e-9 of the suggestion's or smaller:
+# h_j = a + b/alpha then cancels terms of size ~1e10, and the solver picks a
+# candidate whose closed-form objective claims far more than its scheme
+# delivers.  Each test passes once that arithmetic is robust.
+ILL_SCALED = {
+    # bot, a1, a2, a3 as (cost, prob); solver 0.3291, oracle 0.50096.
+    "four-actions": (
+        [(0.0, 3.6e-12), (0.00104, 0.502), (0.0188, 0.598), (0.197, 0.685)],
+        [1.67, 0.65, 1.85, 0.16]),
+    # Instance 119 of the test_scaled_rivals_feasibility_slack generator with
+    # rival probabilities 10**-randint(8, 11) and random.Random(12345);
+    # solver 0.1572, oracle 0.7515.
+    "scaled-rivals-119": (
+        [(0.0, 1.3927487172427997e-12), (0.02124095740548375, 0.7727433017749554),
+         (0.06216838204461173, 0.3717829491117016), (0.1896013663473572, 0.7015888386999365),
+         (0.18124518695096958, 8.297976080830008e-12),
+         (0.015726713858400538, 0.31128884231788934)],
+        [1.4317132894364224, 1.3093165679784518, 0.18239956830785164,
+         1.2466100288301145, 0.7495184627835358, 0.7522786032074369]),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="h_j cancels catastrophically on ill-scaled rivals")
+@pytest.mark.parametrize("label", sorted(ILL_SCALED))
+def test_ill_scaled_rivals_match_oracle(label):
+    from icx.oracle import brute_force_randomized
+    pairs, weights = ILL_SCALED[label]
+    actions = [Action("bot" if t == 0 else f"a{t}", cost, prob)
+               for t, (cost, prob) in enumerate(pairs)]
+    inst = Instance(tuple(actions), "bot", costfn.Additive(weights))
+    _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+    assert abs(solve_randomized(inst).utility - oracle_utility) <= 1e-7
+
+
 GOLDEN_KINDS = ["additive", "budget", "coverage", "concave"]
 
 
@@ -377,7 +439,8 @@ def golden_entry(inst):
     return hashlib.sha256(text.encode()).hexdigest()[:16], counted.value_queries
 
 
-# Recorded from the id-based solver that preceded the index-native core.
+# Report hashes recorded from the id-based solver that preceded the
+# index-native core; query counts are the current solver's.
 GOLDEN = {
     "tied-additive-3": ("0fcdc90b087dc96f", 9),
     "gp-additive-3": ("55d5f771953f9fc5", 15),
@@ -388,19 +451,19 @@ GOLDEN = {
     "tied-concave-3": ("527fb683a5ca7ec0", 12),
     "gp-concave-3": ("c8e10dba8a289f24", 15),
     "tied-additive-4": ("54930b888f407a3f", 27),
-    "gp-additive-4": ("8f6f469559060ba8", 33),
+    "gp-additive-4": ("8f6f469559060ba8", 32),
     "tied-budget-4": ("c24ed394baeece5e", 21),
     "gp-budget-4": ("840d753325780359", 32),
     "tied-coverage-4": ("a935d4a16a99490c", 21),
-    "gp-coverage-4": ("8da2bad7b6f2a1c7", 36),
+    "gp-coverage-4": ("8da2bad7b6f2a1c7", 35),
     "tied-concave-4": ("297b36e91268e5ad", 22),
     "gp-concave-4": ("1b777501fbea30e2", 30),
     "tied-additive-5": ("e3b79051f286259c", 52),
     "gp-additive-5": ("ce26be596ffd2a31", 62),
     "tied-budget-5": ("353ed834b4e74c6e", 37),
-    "gp-budget-5": ("5264f0d80e010b8b", 61),
+    "gp-budget-5": ("5264f0d80e010b8b", 60),
     "tied-coverage-5": ("92bc430511f8f3c3", 38),
-    "gp-coverage-5": ("bb6c6bf52c607542", 59),
+    "gp-coverage-5": ("bb6c6bf52c607542", 58),
     "tied-concave-5": ("c4e2938599623fd0", 63),
     "gp-concave-5": ("1aa20fd8dc61fa52", 66),
     "tied-additive-6": ("6ec26ac7cb884560", 79),
@@ -413,12 +476,12 @@ GOLDEN = {
     "gp-concave-6": ("20d1e423d8710d86", 116),
     "tied-additive-7": ("83ed6ea36f382a8f", 142),
     "gp-additive-7": ("992c1d43e45905a7", 212),
-    "tied-budget-7": ("e659739b6831d317", 159),
+    "tied-budget-7": ("e659739b6831d317", 157),
     "gp-budget-7": ("d98aca9ebd8429b8", 197),
     "tied-coverage-7": ("53e48de8d7199e97", 139),
     "gp-coverage-7": ("4dda33b4af1d8664", 177),
     "tied-concave-7": ("8604170e357622dd", 147),
-    "gp-concave-7": ("d871f50b23f6361e", 227),
+    "gp-concave-7": ("d871f50b23f6361e", 226),
     "tied-additive-8": ("e20f753bb32587cb", 282),
     "gp-additive-8": ("f9cffb6bf8be1753", 335),
     "tied-budget-8": ("078ae46d9508db2b", 304),
@@ -427,7 +490,7 @@ GOLDEN = {
     "gp-coverage-8": ("2e69d6384a2cbc13", 326),
     "tied-concave-8": ("46a039e22122ef50", 300),
     "gp-concave-8": ("e3a1fd59fa5fa0d9", 331),
-    "tied-additive-9": ("03bf652444a4e31e", 571),
+    "tied-additive-9": ("03bf652444a4e31e", 570),
     "gp-additive-9": ("370b8fab0edf767d", 619),
     "tied-budget-9": ("a032869cf1029e34", 555),
     "gp-budget-9": ("c7afeb619ccc2d1c", 657),
@@ -445,7 +508,7 @@ GOLDEN = {
     "gp-concave-10": ("6f4c068396489974", 1157),
     "tied-additive-11": ("d986ef86aef34b5f", 33),
     "gp-additive-11": ("c1812e54d864fd9d", 258),
-    "tied-budget-11": ("065a656b7e974e26", 82),
+    "tied-budget-11": ("065a656b7e974e26", 81),
     "gp-budget-11": ("80397df9390906f3", 263),
     "tied-coverage-11": ("240379833049ab47", 41),
     "gp-coverage-11": ("b2568d6e4b36c7c9", 283),
@@ -481,10 +544,10 @@ GOLDEN = {
 # bits of these reports (the same at the id-based solver).
 if sys.version_info >= (3, 12):
     GOLDEN.update({
-        "tied-budget-7": ("d613d890fe8bf64f", 159),
+        "tied-budget-7": ("d613d890fe8bf64f", 157),
         "gp-budget-8": ("2512703246047916", 334),
         "gp-budget-9": ("12d56bcc14cbe374", 657),
-        "tied-budget-11": ("861134255601a6de", 82),
+        "tied-budget-11": ("861134255601a6de", 81),
         "gp-budget-11": ("d9454ba1acb632b5", 263),
         "tied-budget-13": ("87d4f25bf8d70073", 33),
         "gp-budget-13": ("180ac0814549986a", 364),
