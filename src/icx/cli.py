@@ -57,18 +57,8 @@ def _emit(doc: dict, out: str | None) -> None:
         fh.write("\n")
 
 
-def _load_validated_instance(path: str) -> Instance:
-    inst = serialization.load_instance(path)
-    # A table cost was already checked by the same exhaustive scan when read.
-    if inst.n <= 16 and not isinstance(inst.cost_fn, ExplicitTable):
-        ok, witness = check_monotone(inst.cost_fn, inst.n, mode="exhaustive")
-        if not ok:
-            raise ValidationError(f"inspection cost not monotone; witness {witness}")
-    return inst
-
-
 def cmd_solve(args) -> int:
-    inst = _load_validated_instance(args.instance)
+    inst = serialization.load_instance(args.instance)
     counted = CountingOracle(inst.cost_fn)
     counted_inst = inst.with_cost_fn(counted)
     start = time.perf_counter()
@@ -129,7 +119,7 @@ def _run_oracle(inst: Instance, mode: str, alpha_grid: float):
 
 
 def cmd_brute_force(args) -> int:
-    inst = _load_validated_instance(args.instance)
+    inst = serialization.load_instance(args.instance)
     scheme, utility = _run_oracle(inst, args.mode, _alpha_grid(args))
     doc = {
         "mode": args.mode,
@@ -141,7 +131,7 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    inst = _load_validated_instance(args.instance)
+    inst = serialization.load_instance(args.instance)
     if args.mode == "det":
         tolerance = _tol(args)
         best, _ = deterministic.solve_deterministic(inst)

@@ -6,6 +6,9 @@ Subsets of the ground set {0, ..., n-1} are represented as bitmask ints
 and `check_submodular` verify these properties either exhaustively or on
 seeded samples, returning a counterexample witness on failure.
 
+`submodular_by_type` decides a cost's class once, from its exact type, so
+no caller re-proves the submodularity of a typed cost with a 2^n scan.
+
 `SetFunction.table()` returns the list of all 2^n values indexed by bitmask,
 and every entry is bit-identical to `value(mask)`: the same float, of the
 same type.  The built-in constructors fill it by subset DP (entry m extends
@@ -19,9 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -332,41 +334,47 @@ class XOSClauses(SetFunction):
 
 @dataclass
 class CountingOracle(SetFunction):
-    """Transparent wrapper counting value/demand queries.
-
-    Counters only grow; increments take a lock so instrumented functions
-    stay usable under concurrent solver evaluation.
-    """
+    """Transparent wrapper counting value/demand queries."""
 
     inner: SetFunction
     value_queries: int = 0
     demand_queries: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def n(self) -> int:
         return self.inner.n
 
     def value(self, mask: int) -> float:
-        with self._lock:
-            self.value_queries += 1
+        self.value_queries += 1
         return self.inner.value(mask)
 
     def demand(self, prices: Sequence[float]) -> int:
-        with self._lock:
-            self.demand_queries += 1
+        self.demand_queries += 1
         return self.inner.demand(prices)
 
     def table(self) -> list[float]:
         """Counts one value query per entry, as materializing via `value` would."""
-        with self._lock:
-            self.value_queries += 1 << self.n
+        self.value_queries += 1 << self.n
         return self.inner.table()
 
 
+def uncounted(fn: SetFunction) -> SetFunction:
+    """The cost behind a `CountingOracle`; any other cost as it is."""
+    return fn.inner if isinstance(fn, CountingOracle) else fn
+
+
 # ---------------------------------------------------------------------------
-# Class-membership checkers
+# Class membership
 # ---------------------------------------------------------------------------
+
+# Matched on the exact type: a subclass may override `value`.
+_SUBMODULAR_TYPES = frozenset({Additive, BudgetAdditive, WeightedCoverage,
+                               ConcaveCardinality})
+
+
+def submodular_by_type(fn: SetFunction) -> bool:
+    """Whether fn's exact type, seen through a `CountingOracle`, makes it submodular."""
+    return type(uncounted(fn)) in _SUBMODULAR_TYPES
 
 
 def _sampled_masks(rng: random.Random, n: int, count: int):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from . import reports
-from .costfn import EQ_TOL, check_submodular
+from .costfn import EQ_TOL, check_submodular, submodular_by_type
 from .model import (ActionId, InspectionScheme, Instance, ValidationError,
                     is_IC)
 
@@ -347,16 +347,18 @@ def assemble_scheme(inst: Instance, ctx: _Interval, k: int, alpha: float,
 def solve_randomized(inst: Instance) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.
 
-    The cost is checked exhaustively when n <= 10 and otherwise trusted with
-    a warning in the report.  A failed check raises SubmodularityError.
+    A cost that is not submodular by type (`submodular_by_type`) is checked
+    exhaustively when n <= 10, raising SubmodularityError on a violation,
+    and otherwise trusted with a warning in the report.
     """
     warnings = ()
-    if inst.n <= 10:
-        ok, witness = check_submodular(inst.cost_fn, inst.n, mode="exhaustive")
-        if not ok:
-            raise SubmodularityError(witness)
-    else:
-        warnings = ("submodularity unverified (n > 10); result trusted",)
+    if not submodular_by_type(inst.cost_fn):
+        if inst.n <= 10:
+            ok, witness = check_submodular(inst.cost_fn, inst.n, mode="exhaustive")
+            if not ok:
+                raise SubmodularityError(witness)
+        else:
+            warnings = ("submodularity unverified (n > 10); result trusted",)
 
     best = None  # (utility, -index, -alpha) -> payload
 
@@ -370,7 +372,7 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
         i = a.id
         if a.cost == 0.0:
             scheme = InspectionScheme(i, 0.0, [(_NOTHING, 1.0)])
-            consider(a.prob, ii, 0.0, ("zero_cost", i, scheme, a.prob))
+            consider(a.prob, ii, 0.0, ("zero_cost", i, scheme))
             continue
         if a.prob <= a.cost:
             continue
@@ -382,12 +384,11 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
 
     payload = best[1]
     if payload[0] == "zero_cost":
-        _, i, scheme, utility = payload
+        _, i, scheme = payload
         provenance = {"kind": "zero_cost", "suggested": i}
     else:
-        _, i, ctx, k, (objective, alpha, p_i) = payload
+        _, i, ctx, k, (_, alpha, p_i) = payload
         scheme = assemble_scheme(inst, ctx, k, alpha, p_i)
-        utility = inst.f(i) - objective
         provenance = {
             "kind": "subproblem", "suggested": i, "interval": ctx.ell,
             "k": k, "alpha": alpha, "p_suggested": p_i,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import serialization
-from .costfn import CountingOracle
+from .costfn import uncounted
 from .model import InspectionScheme, Instance, expected_inspection_cost
 
 __version__ = "0.1.0"
@@ -52,9 +52,9 @@ class SolveReport:
 
 def compute_digest(inst: Instance) -> Optional[str]:
     """Digest of the instance's canonical JSON; None when not serializable."""
-    fn = inst.cost_fn
-    if isinstance(fn, CountingOracle):
-        inst = inst.with_cost_fn(fn.inner)
+    fn = uncounted(inst.cost_fn)
+    if fn is not inst.cost_fn:
+        inst = inst.with_cost_fn(fn)
     try:
         return serialization.instance_digest(serialization.instance_to_json(inst))
     except serialization.ParseError:

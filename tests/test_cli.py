@@ -161,6 +161,16 @@ class TestSolve:
         assert code == 0
         assert main(["solve", "--mode", "rand", str(tmp_path / "hard.json")]) == 4
 
+    @pytest.mark.parametrize("mode", ["det", "rand"])
+    def test_large_additive_weights_solve(self, capsys, tmp_path, mode):
+        # Submodular by type: not refused over a rounding error of ~1e-12.
+        inst = gen_intro_example().with_cost_fn(costfn.Additive([0.88, 40.0, 22000.0]))
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(instance_to_json(inst)))
+        code, doc = run(capsys, "solve", "--mode", mode, str(path))
+        assert code == 0
+        assert doc["warnings"] == []
+
     def test_out_file(self, tmp_path, intro_file):
         out = tmp_path / "report.json"
         assert main(["solve", "--mode", "det", intro_file, "--out", str(out)]) == 0

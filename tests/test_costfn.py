@@ -150,6 +150,18 @@ class TestCheckers:
             assert fn.value(0) == 0.0
             assert check_monotone(fn, n)[0]
             assert check_submodular(fn, n)[0]
+        # The JSON-loadable costs that are not submodular are monotone too,
+        # which is why loading an instance needs no monotonicity re-scan.
+        for trial in range(20):
+            n = rng.randint(1, 6)
+            fn = XOSClauses([[rng.uniform(0.0, 0.6) for _ in range(n)]
+                             for _ in range(rng.randint(1, 4))])
+            assert fn.value(0) == 0.0
+            assert check_monotone(fn, n)[0]
+        for k, m in [(7, None), (7, 1), (7, 6), (11, None), (11, 3)]:
+            fn = VTCost(random_hard_params(k, rng.randrange(100), m))
+            assert fn.value(0) == 0.0
+            assert check_monotone(fn, fn.n)[0]
 
     def test_xos_pointwise_self_certificate(self):
         clauses = [[0.5, 0.0, 0.3], [0.2, 0.4, 0.0]]
@@ -207,6 +219,26 @@ class TestCountingOracle:
         fn = CountingOracle(inner)
         for mask in range(32):
             assert fn.value(mask) == inner.value(mask)
+
+
+class TestSubmodularByType:
+    @pytest.mark.parametrize("kind", ["additive", "budget", "coverage", "concave"])
+    def test_constructor_types_guarantee_it(self, rng, kind):
+        fn = random_submodular_fn(rng, 4, kind)
+        assert costfn.submodular_by_type(fn)
+        assert costfn.submodular_by_type(CountingOracle(fn))
+
+    def test_other_costs_guarantee_nothing(self, rng):
+        class Squared(Additive):
+            def value(self, mask):
+                return super().value(mask) ** 2
+
+        squared = Squared([0.5, 0.25, 1.0])
+        assert squared.value(0b101) == 2.25
+        for fn in [random_monotone_table(rng, 3), XOSClauses([[0.5, 0.0], [0.0, 0.5]]),
+                   VTCost(random_hard_params(7, 1)), squared]:
+            assert not costfn.submodular_by_type(fn)
+            assert not costfn.submodular_by_type(CountingOracle(fn))
 
 
 @settings(max_examples=100, deadline=None)
