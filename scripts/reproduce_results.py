@@ -38,7 +38,7 @@ def intro_section():
     line("best deterministic inspection", f"{det.utility:.12f}", "= 11/20")
     rand = solve_randomized(inst)
     line("best randomized inspection", f"{rand.utility:.12f}", "= 71/120")
-    _, oracle = brute_force_randomized(inst, alpha_resolution=1e-3)
+    _, oracle = brute_force_randomized(inst)
     line("LP oracle cross-check", f"{oracle:.12f}")
     print("  note: the often-quoted 17/28 for this instance assumes the scheme")
     print("  (g, 7/20, inspect {g} w.p. 3/7), which is not IC here: opting out")

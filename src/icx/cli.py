@@ -5,7 +5,7 @@ query-experiment.  All emit JSON on stdout (or --out FILE).  Exit codes:
 0 success, 2 parse error, 3 validation failure, 4 cost-class check failure
 in rand mode, 5 oracle size limit exceeded.
 
-Config precedence: flags > environment (ICX_TOL, ICX_ALPHA_GRID) > defaults.
+Config precedence: flags > environment (ICX_TOL) > defaults.
 All randomness flows from --seed.  Reports are byte-identical across runs
 for identical inputs and seeds; --timing adds a wall-clock field.
 """
@@ -24,8 +24,8 @@ from .costfn import CountingOracle, ExplicitTable, check_monotone, check_submodu
 from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
                     best_responses, check_tolerance, is_IC, principal_utility)
 
-# The LP oracle's payment grid and golden-section polish land within this of
-# the exact randomized optimum; compare --mode rand passes inside it.
+# compare --mode rand passes when the solver and the LP oracle, whose
+# golden-section payment search is approximate, agree within this.
 RAND_COMPARE_TOL = 1e-4
 
 
@@ -42,12 +42,6 @@ def _env_float(name: str, default: float) -> float:
 def _tol(args) -> float:
     tol = args.tol if args.tol is not None else _env_float("ICX_TOL", DEFAULT_TOL)
     return check_tolerance(tol)
-
-
-def _alpha_grid(args) -> float:
-    if getattr(args, "alpha_grid", None) is not None:
-        return args.alpha_grid
-    return _env_float("ICX_ALPHA_GRID", oracle.ALPHA_RESOLUTION)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -112,15 +106,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_oracle(inst: Instance, mode: str, alpha_grid: float):
+def _run_oracle(inst: Instance, mode: str):
     if mode == "det":
         return oracle.brute_force_deterministic(inst)
-    return oracle.brute_force_randomized(inst, alpha_resolution=alpha_grid)
+    return oracle.brute_force_randomized(inst)
 
 
 def cmd_brute_force(args) -> int:
     inst = serialization.load_instance(args.instance)
-    scheme, utility = _run_oracle(inst, args.mode, _alpha_grid(args))
+    scheme, utility = _run_oracle(inst, args.mode)
     doc = {
         "mode": args.mode,
         "scheme": serialization.scheme_to_json(scheme),
@@ -143,7 +137,7 @@ def cmd_compare(args) -> int:
         tolerance = RAND_COMPARE_TOL
         report = randomized.solve_randomized(inst)
         solver_utility = report.utility
-    _, oracle_utility = _run_oracle(inst, args.mode, _alpha_grid(args))
+    _, oracle_utility = _run_oracle(inst, args.mode)
     gap = abs(solver_utility - oracle_utility)
     doc = {
         "mode": args.mode,
@@ -248,15 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute-force", help="run the reference oracle solver")
     add_common(p)
     p.add_argument("--mode", choices=["det", "rand"], required=True)
-    p.add_argument("--alpha-grid", type=float, default=None,
-                   help=f"payment grid step (default env ICX_ALPHA_GRID or "
-                        f"{oracle.ALPHA_RESOLUTION:g})")
     p.set_defaults(func=cmd_brute_force)
 
     p = sub.add_parser("compare", help="solver vs oracle diff report")
     add_common(p)
     p.add_argument("--mode", choices=["det", "rand"], required=True)
-    p.add_argument("--alpha-grid", type=float, default=None)
     p.add_argument("--tol", type=float, default=None,
                    help=f"det-mode tolerance (default env ICX_TOL or {DEFAULT_TOL:g}); "
                         f"rand mode passes within {RAND_COMPARE_TOL:g}")

@@ -355,7 +355,17 @@ class CountingOracle(SetFunction):
     def table(self) -> list[float]:
         """Counts one value query per entry, as materializing via `value` would."""
         self.value_queries += 1 << self.n
-        return self.inner.table()
+        return _values(self.inner)
+
+
+def _values(fn: SetFunction) -> list[float]:
+    """All 2^fn.n values of fn: its `table()` only if the class that supplies
+    its `value` supplies `table` too, since a subclass that overrides only
+    `value` inherits a table of its parent's values."""
+    owner = next(cls for cls in type(fn).__mro__ if "value" in vars(cls))
+    if "table" in vars(owner):
+        return fn.table()
+    return [fn.value(m) for m in range(1 << fn.n)]
 
 
 def uncounted(fn: SetFunction) -> SetFunction:
@@ -384,9 +394,9 @@ def _sampled_masks(rng: random.Random, n: int, count: int):
 
 
 def _all_values(fn: SetFunction, n: int) -> list[float]:
-    """[fn.value(m) for m in range(1 << n)], through `table()` when n == fn.n."""
+    """[fn.value(m) for m in range(1 << n)], through `_values` when n == fn.n."""
     if fn.n == n:
-        return fn.table()
+        return _values(fn)
     return [fn.value(m) for m in range(1 << n)]
 
 

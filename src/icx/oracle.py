@@ -7,8 +7,8 @@ payment axis and solves an exact LP in the inspection probabilities at each
 payment it tries; the coupling LP minimizes expected cost over all subset
 distributions with prescribed marginals.  Nothing here is imported from the
 solvers: the payment search rests only on the convexity of each
-suggestion's total cost in 1/alpha, so a uniform grid need only bracket the
-minimum that golden section then polishes.
+suggestion's total cost in 1/alpha, which makes the whole payment range a
+golden-section bracket.
 
 Both exhaustive oracles work on action indices and subset bitmasks; ids
 appear only in the schemes they return.  Per suggestion, the deterministic
@@ -40,7 +40,6 @@ MAX_LP_ROWS = 128
 DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
 RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
 COUPLING_LP_MAX_GROUND = 10  # lp_min_cost_given_marginals has 2^|ground| columns
-ALPHA_RESOLUTION = 1e-2  # brute_force_randomized's payment grid step
 GOLDEN_WIDTH = 1e-10  # _golden_minimize's stopping bracket width
 
 
@@ -451,15 +450,14 @@ def lp_best_distribution(inst: Instance, i: ActionId, alpha: float):
 def _golden_minimize(fun, lo: float, hi: float):
     """Golden-section search for the minimum of a unimodal `fun` on [lo, hi].
 
-    Stops after 40 steps or once the bracket is narrower than GOLDEN_WIDTH.
+    Stops once the bracket is narrower than GOLDEN_WIDTH: at most 48 steps
+    when hi - lo <= 1.  The ends themselves are never probed.
     """
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(40):
-        if b - a < GOLDEN_WIDTH:
-            break
+    while b - a >= GOLDEN_WIDTH:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -471,23 +469,25 @@ def _golden_minimize(fun, lo: float, hi: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOLUTION):
+def brute_force_randomized(inst: Instance, *, alpha_resolution: float | None = None):
     """Search payments and solve the exact inspection LP at each one; n <= 7.
 
     For suggestion i, the total cost alpha*f(i) + LP(alpha) is strictly
     convex in t = 1/alpha on [1, f(i)/c(i)]: the LP's optimal value is
     convex in its right-hand side, each marginal bound is affine in t, and
-    f(i)/t is strictly convex.  So the cost is unimodal in alpha, and a
-    uniform grid of step `alpha_resolution` from the break-even payment
-    c(i)/f(i) to 1 only has to bracket its minimum: the best grid point and
-    its two neighbours do, and golden section polishes that bracket.
-    `alpha_resolution` must lie in (0, 1].  Returns (scheme, utility).
+    f(i)/t is strictly convex.  So the cost is unimodal in alpha, and the
+    whole range from the break-even payment c(i)/f(i) to 1 is a
+    golden-section bracket (Kiefer 1953).  The LP is feasible on all of it:
+    there every marginal bound is at most 1, so inspecting every rival
+    always is IC.  Golden section never probes the two ends, and the
+    break-even end is often the optimum, so both ends are tried as well.
+    Returns (scheme, utility).
+
+    `alpha_resolution` is read by nothing, as the search has no grid; it
+    is accepted only because `benchmarks/workloads.py` still passes it.
     """
     if inst.n > RAND_ORACLE_MAX_N:
         raise OracleSizeError(f"randomized oracle limited to n <= {RAND_ORACLE_MAX_N}")
-    if not 0.0 < alpha_resolution <= 1.0:
-        raise ValidationError(
-            f"payment grid step must be in (0, 1], got {alpha_resolution}")
     best: tuple[float, InspectionScheme] | None = None
 
     def consider(utility, scheme):
@@ -502,28 +502,20 @@ def brute_force_randomized(inst: Instance, alpha_resolution: float = ALPHA_RESOL
             continue
         if a.prob <= a.cost:
             continue
-        lo = a.cost / a.prob
-        steps = max(1, math.ceil((1.0 - lo) / alpha_resolution))
-        grid = [lo + (1.0 - lo) * t / steps for t in range(steps)] + [1.0]
-
-        evaluated = {}  # payment -> (LP solution, total cost)
         skeleton = _LPSkeleton(inst, k)
+        solved = {}  # payment -> (LP solution, total cost)
 
-        def total_cost(alpha, skeleton=skeleton):
-            if alpha not in evaluated:
-                evaluated[alpha] = _lp_at(skeleton, alpha)
-            return evaluated[alpha][1]
+        def total_cost(alpha, skeleton=skeleton, solved=solved):
+            solved[alpha] = _lp_at(skeleton, alpha)
+            return solved[alpha][1]
 
-        values = [total_cost(alpha) for alpha in grid]
-        b_idx = min(range(len(grid)), key=values.__getitem__)
-        alpha_best, cost_best = grid[b_idx], values[b_idx]
-        left, right = grid[max(0, b_idx - 1)], grid[min(steps, b_idx + 1)]
-        alpha_ref, cost_ref = _golden_minimize(total_cost, left, right)
-        if cost_ref < cost_best:
-            alpha_best, cost_best = alpha_ref, cost_ref
-        x, _ = evaluated[alpha_best]
+        lo = a.cost / a.prob
+        golden = _golden_minimize(total_cost, lo, 1.0)
+        alpha, cost = min([(lo, total_cost(lo)), golden, (1.0, total_cost(1.0))],
+                          key=lambda pair: pair[1])
+        x, _ = solved[alpha]
         if x is not None:
-            consider(a.prob - cost_best, _scheme_of(inst, skeleton, alpha_best, x))
+            consider(a.prob - cost, _scheme_of(inst, skeleton, alpha, x))
 
     utility, scheme = best
     return scheme, utility

@@ -10,6 +10,14 @@ from icx.model import Action, Instance
 GRID = [i / 8.0 for i in range(9)]
 
 
+class Squared(costfn.Additive):
+    """Overrides only `value`: not submodular, and the table it inherits
+    holds its parent's values, not its own."""
+
+    def value(self, mask):
+        return super().value(mask) ** 2
+
+
 def random_monotone_table(rng: random.Random, n: int, scale: float = 1.0):
     """Random normalized monotone table: each set gets the max of its
     one-smaller subsets plus a (often zero) nonnegative bump."""
@@ -64,6 +72,23 @@ def random_instance(rng: random.Random, n: int, fn=None, fn_kind: str = "table")
         else:
             fn = random_submodular_fn(rng, n)
     return Instance(tuple(actions), "bot", fn)
+
+
+def scaled_rivals_instance(rng: random.Random, trial: int, lo: int, hi: int):
+    """Additive instance whose null action and about half of the 1 + trial % 5
+    other actions succeed with probability ~10**-randint(lo, hi), against
+    action costs up to 0.2: far below the scale of the rest."""
+    tiny = 10.0 ** -rng.randint(lo, hi)
+    actions = [Action("bot", 0.0, rng.uniform(0.0, tiny))]
+    for idx in range(1, 2 + trial % 5):
+        if rng.random() < 0.5:
+            prob = rng.uniform(0.3, 1.0)
+            actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.3) * prob, prob))
+        else:
+            actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.2),
+                                  tiny * rng.uniform(0.1, 1.0)))
+    return Instance(tuple(actions), "bot", costfn.Additive(
+        [rng.uniform(0.0, 2.0) for _ in actions]))
 
 
 def random_marginals(rng: random.Random, ground):

@@ -42,7 +42,7 @@ def test_criterion_1_intro_fixture():
 
     rand_report = solve_randomized(inst)
     assert is_IC(inst, rand_report.scheme, 1e-12)
-    _, oracle_utility = brute_force_randomized(inst, alpha_resolution=1e-4)
+    _, oracle_utility = brute_force_randomized(inst)
     assert abs(rand_report.utility - oracle_utility) <= 1e-4
     # The oracle independently confirms the pinned regression value 71/120.
     assert oracle_utility == pytest.approx(71 / 120, abs=1e-6)
@@ -108,7 +108,7 @@ def test_criterion_4_randomized_solver_vs_oracle():
         assert len(report.scheme.support()) <= n + 1, f"trial {trial}: support"
         det_best, _ = solve_deterministic(inst)
         assert report.utility >= det_best.utility - 1e-9, f"trial {trial}: vs det"
-        _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.02)
+        _, oracle_utility = brute_force_randomized(inst)
         gap = abs(report.utility - oracle_utility)
         worst = max(worst, gap)
         assert gap <= 1e-4, f"trial {trial}: solver {report.utility} vs " \

@@ -259,16 +259,14 @@ class TestCompareAndBruteForce:
         assert doc["gap"] <= 1e-9
 
     def test_compare_rand(self, capsys, intro_file):
-        code, doc = run(capsys, "compare", "--mode", "rand", intro_file,
-                        "--alpha-grid", "0.02")
+        code, doc = run(capsys, "compare", "--mode", "rand", intro_file)
         assert code == 0
         assert doc["pass"] is True
         assert doc["tolerance"] == cli.RAND_COMPARE_TOL
 
     @pytest.mark.parametrize("value", ["1e-20", "1e-3", "nan"])
     def test_compare_rand_refuses_tolerance(self, capsys, intro_file, value):
-        assert main(["compare", "--mode", "rand", intro_file, "--alpha-grid", "0.05",
-                     "--tol", value]) == 3
+        assert main(["compare", "--mode", "rand", intro_file, "--tol", value]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("validation error: --tol applies to --mode det only; "
@@ -277,8 +275,7 @@ class TestCompareAndBruteForce:
     def test_compare_rand_ignores_env_tolerance(self, capsys, intro_file, monkeypatch):
         # ICX_TOL is the utility-comparison tolerance; the rand-mode bound stays.
         monkeypatch.setenv("ICX_TOL", "1e-20")
-        code, doc = run(capsys, "compare", "--mode", "rand", intro_file,
-                        "--alpha-grid", "0.05")
+        code, doc = run(capsys, "compare", "--mode", "rand", intro_file)
         assert code == 0
         assert doc["tolerance"] == cli.RAND_COMPARE_TOL and doc["pass"] is True
 
@@ -295,20 +292,24 @@ class TestCompareAndBruteForce:
     @pytest.mark.parametrize("argv", [["compare", "--mode", "rand"],
                                       ["brute-force", "--mode", "rand"]],
                              ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf"])
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf", "0.05"])
     @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_bad_alpha_grid_exit_3(self, capsys, monkeypatch, intro_file, argv, step,
-                                   source):
+    def test_alpha_grid_refused_or_ignored(self, capsys, monkeypatch, intro_file, argv,
+                                           step, source):
+        # The LP oracle's payment search takes no step: the flag is refused,
+        # and the environment variable changes nothing.
         argv = argv + [intro_file]
         if source == "flag":
-            argv += ["--alpha-grid", step]
-        else:
-            monkeypatch.setenv("ICX_ALPHA_GRID", step)
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"validation error: payment grid step must be in (0, 1], got {float(step)}\n")
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--alpha-grid", step])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --alpha-grid {step}" in capsys.readouterr().err
+            return
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setenv("ICX_ALPHA_GRID", step)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
     def test_oracle_size_limit_exit_5(self, capsys, tmp_path):
         for command, mode, n, limit in [

@@ -13,7 +13,7 @@ from icx.costfn import (Additive, BudgetAdditive, ConcaveCardinality,
 from icx.families import VTCost, random_hard_params
 from icx.model import Action, Instance
 from icx.serialization import instance_digest, instance_to_json
-from conftest import random_monotone_table, random_submodular_fn
+from conftest import Squared, random_monotone_table, random_submodular_fn
 
 
 class TestConstructors:
@@ -229,10 +229,6 @@ class TestSubmodularByType:
         assert costfn.submodular_by_type(CountingOracle(fn))
 
     def test_other_costs_guarantee_nothing(self, rng):
-        class Squared(Additive):
-            def value(self, mask):
-                return super().value(mask) ** 2
-
         squared = Squared([0.5, 0.25, 1.0])
         assert squared.value(0b101) == 2.25
         for fn in [random_monotone_table(rng, 3), XOSClauses([[0.5, 0.0], [0.0, 0.5]]),
@@ -355,6 +351,34 @@ class TestTables:
             assert _exact(fn.table()) == _exact(inner.table())
             assert fn.value_queries == 1 + (1 << n)
             assert fn.demand_queries == 0
+
+    def test_subclass_overriding_value_is_checked_by_value(self):
+        fn = Squared([0.5, 0.25, 1.0])
+        assert check_submodular(fn, 3) == (False, (0, 0, 1))
+        counted = CountingOracle(fn)
+        assert check_submodular(counted, 3) == (False, (0, 0, 1))
+        assert counted.value_queries == 1 << 3
+        assert check_submodular(fn, 3, mode="sampled") == (False, (1, 2, 1))
+        assert check_monotone(fn, 3) == (True, None)
+
+    def test_constructor_tables_skip_value(self, rng, monkeypatch):
+        # The built-in types keep their subset-DP tables, also when a
+        # subclass leaves `value` alone.
+        class Renamed(Additive):
+            pass
+
+        fns = [Renamed([0.5, 0.25, 1.0])] + [
+            random_submodular_fn(rng, 4, kind)
+            for kind in ["additive", "budget", "coverage", "concave"]]
+
+        def unavailable(self, mask):
+            raise AssertionError("value() called where table() serves")
+
+        for cls in (Additive, BudgetAdditive, WeightedCoverage, ConcaveCardinality):
+            monkeypatch.setattr(cls, "value", unavailable)
+        for fn in fns:
+            assert check_submodular(fn, fn.n) == (True, None)
+            assert check_submodular(CountingOracle(fn), fn.n) == (True, None)
 
     def test_exhaustive_checks_count_2_to_the_n(self, rng):
         fn = CountingOracle(random_submodular_fn(rng, 6))

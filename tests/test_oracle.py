@@ -10,13 +10,13 @@ import pytest
 from icx import costfn, oracle, randomized
 from icx.deterministic import solve_deterministic
 from icx.families import gen_gap_instance, gen_intro_example, gen_nonic_example
-from icx.model import (InspectionScheme, ValidationError, deterministic_scheme,
-                       is_IC)
+from icx.model import (Action, Instance, InspectionScheme, ValidationError,
+                       deterministic_scheme, is_IC)
 from icx.oracle import (LinearProgram, brute_force_deterministic,
                         brute_force_randomized, deterministic_non_ic_best,
                         lp_best_distribution, lp_min_cost_given_marginals,
                         no_inspection_best, simplex_solve)
-from conftest import GRID, random_instance, random_marginals
+from conftest import GRID, random_instance, random_marginals, scaled_rivals_instance
 
 
 class TestSimplex:
@@ -185,29 +185,47 @@ class TestCouplingLP:
 
 class TestRandomizedBruteForce:
     def test_intro(self):
-        scheme, utility = brute_force_randomized(gen_intro_example(),
-                                                 alpha_resolution=1e-2)
-        assert utility == pytest.approx(71 / 120, abs=1e-6)
+        scheme, utility = brute_force_randomized(gen_intro_example())
+        assert utility == pytest.approx(71 / 120, abs=1e-9)
         assert scheme.suggested == "g"
 
     def test_nonic(self):
-        inst, _, refs = gen_nonic_example()
-        _, utility = brute_force_randomized(inst, alpha_resolution=1e-2)
-        assert utility == pytest.approx(refs["ic_randomized_optimum"], abs=1e-6)
+        inst, _, _ = gen_nonic_example()
+        _, utility = brute_force_randomized(inst)
+        assert utility == pytest.approx(1.45 - 2.0 * math.sqrt(0.3), abs=1e-9)
 
     def test_size_limit(self):
         with pytest.raises(oracle.OracleSizeError,
                            match=r"^randomized oracle limited to n <= 7$"):
             brute_force_randomized(gen_gap_instance(8))
 
-    @pytest.mark.parametrize("step", [0.0, math.nan, -0.5, math.inf, 1.5])
-    def test_grid_step_outside_unit_interval_rejected(self, step):
-        with pytest.raises(ValidationError, match="payment grid step must be in"):
-            brute_force_randomized(gen_intro_example(), alpha_resolution=step)
+    @pytest.mark.parametrize("step", [0.0, math.nan, -0.5, math.inf, 1.5, 1.0])
+    def test_alpha_resolution_is_not_read(self, step):
+        inst = gen_intro_example()
+        assert (_answer(brute_force_randomized(inst, alpha_resolution=step))
+                == _answer(brute_force_randomized(inst)))
 
-    def test_grid_step_of_one_accepted(self):
-        _, utility = brute_force_randomized(gen_intro_example(), alpha_resolution=1.0)
-        assert utility == pytest.approx(71 / 120, abs=1e-6)
+    def test_optimum_at_break_even_payment(self):
+        # Inspecting is so cheap that paying more than c(a)/f(a) = 0.2 only
+        # costs: golden section, which never probes the ends, stops short.
+        inst = Instance((Action("bot", 0.0, 0.5), Action("a", 0.2, 1.0)), "bot",
+                        costfn.Additive([0.01, 0.01]))
+        scheme, utility = brute_force_randomized(inst)
+        assert (scheme.suggested, scheme.alpha) == ("a", 0.2)
+        assert utility == pytest.approx(0.79, abs=1e-12)
+        assert is_IC(inst, scheme, 1e-9)
+
+    def test_lp_solves_per_suggestion(self, monkeypatch):
+        # Two interior probes, at most 48 golden steps and the two ends.
+        solves = []
+        solve = oracle.simplex_solve
+        monkeypatch.setattr(oracle, "simplex_solve",
+                            lambda lp: solves.append(1) or solve(lp))
+        for inst in _battery(60) + [gen_intro_example()]:
+            solves.clear()
+            brute_force_randomized(inst)
+            eligible = sum(a.prob > a.cost > 0.0 for a in inst.actions)
+            assert len(solves) <= 52 * eligible
 
     def test_fixed_alpha_lp_is_ic(self, rng):
         for trial in range(15):
@@ -390,6 +408,53 @@ def _ref_lp_best_distribution(inst, i, alpha):
     return InspectionScheme(i, alpha, dist), alpha * inst.f(i) + float(value)
 
 
+def _ref_golden_minimize(fun, lo, hi):
+    """Golden section as the grid search below used it: at most 40 steps."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(40):
+        if b - a < 1e-10:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _ref_grid_search_utility(inst, step):
+    """The LP oracle's former payment search: a uniform grid of `step` from the
+    break-even payment to 1, then golden section on the best grid point's
+    two neighbours."""
+    best = -math.inf
+    for k, a in enumerate(inst.actions):
+        if a.cost == 0.0:
+            best = max(best, a.prob)
+            continue
+        if a.prob <= a.cost:
+            continue
+        lo = a.cost / a.prob
+        steps = max(1, math.ceil((1.0 - lo) / step))
+        grid = [lo + (1.0 - lo) * t / steps for t in range(steps)] + [1.0]
+        skeleton = oracle._LPSkeleton(inst, k)
+
+        def total_cost(alpha, skeleton=skeleton):
+            return oracle._lp_at(skeleton, alpha)[1]
+
+        values = [total_cost(alpha) for alpha in grid]
+        b_idx = min(range(len(grid)), key=values.__getitem__)
+        left, right = grid[max(0, b_idx - 1)], grid[min(steps, b_idx + 1)]
+        cost = min(values[b_idx], _ref_golden_minimize(total_cost, left, right)[1])
+        best = max(best, a.prob - cost)
+    return best
+
+
 def _battery(count=420):
     """Seeded instances, n = 1..7: grid ties, free and f = 0 actions, every cost type."""
     rng = random.Random(20240617)
@@ -468,14 +533,21 @@ class TestIndexNativeOracles:
         monkeypatch.setattr(oracle, "_scheme_of", spy)
         for inst in _battery(60):
             wrapped.clear()
-            brute_force_randomized(inst, alpha_resolution=0.02)
+            brute_force_randomized(inst)
             eligible = [k for k, a in enumerate(inst.actions) if a.prob > a.cost > 0.0]
             assert wrapped == eligible
 
+    def test_search_no_worse_than_grid_reference(self):
+        rng = random.Random(12345)
+        ill_scaled = [scaled_rivals_instance(rng, t, 8, 11) for t in range(40)]
+        for inst in _battery(60) + ill_scaled:
+            scheme, utility = brute_force_randomized(inst)
+            assert utility >= _ref_grid_search_utility(inst, 0.02) - 1e-10
+            assert is_IC(inst, scheme, 1e-9)
+
     def test_randomized_matches_reference(self, monkeypatch):
         insts = _battery()
-        got = [_answer(brute_force_randomized(inst, alpha_resolution=0.02))
-               for inst in insts]
+        got = [_answer(brute_force_randomized(inst)) for inst in insts]
         # The oracle's search over payments, with the reference LP in place
         # of the skeleton's at every payment it tries.
         monkeypatch.setattr(oracle, "_scheme_of", lambda inst, skeleton, alpha, x: x)
@@ -483,4 +555,4 @@ class TestIndexNativeOracles:
             monkeypatch.setattr(oracle, "_lp_at", lambda skeleton, alpha, inst=inst:
                                 _ref_lp_best_distribution(
                                     inst, inst.actions[skeleton.k].id, alpha))
-            assert answer == _answer(brute_force_randomized(inst, alpha_resolution=0.02))
+            assert answer == _answer(brute_force_randomized(inst))

@@ -16,8 +16,8 @@ from icx.randomized import (SubmodularityError, _intervals, _partition,
                             assemble_scheme, eta, nested_min_cost_distribution,
                             solve_randomized, solve_subproblem)
 from icx.serialization import canonical_dumps
-from conftest import (random_coupling, random_instance, random_marginals,
-                      random_submodular_fn)
+from conftest import (Squared, random_coupling, random_instance, random_marginals,
+                      random_submodular_fn, scaled_rivals_instance)
 
 
 def partition(inst, i):
@@ -308,13 +308,18 @@ class TestSolveRandomized:
         with pytest.raises(SubmodularityError):
             solve_randomized(inst)
 
+    def test_rejects_subclass_overriding_only_value(self):
+        inst = gen_intro_example().with_cost_fn(Squared([0.5, 0.25, 1.0]))
+        with pytest.raises(SubmodularityError, match=r"witness \(0, 0, 1\)"):
+            solve_randomized(inst)
+
     def test_large_additive_weights_not_refused(self):
         # (22000 + 0.88) - 22000 rounds 1e-12 away from 0.88, so an exhaustive
         # scan with an absolute tolerance reports a violation at (0, 0, 2).
         from icx.oracle import brute_force_randomized
         inst = gen_intro_example().with_cost_fn(costfn.Additive([0.88, 40.0, 22000.0]))
         report = solve_randomized(inst)
-        _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+        _, oracle_utility = brute_force_randomized(inst)
         assert abs(report.utility - oracle_utility) <= 1e-6
         assert is_IC(inst, report.scheme, 1e-9)
 
@@ -338,7 +343,7 @@ class TestSolveRandomized:
                     actions.append(Action(f"a{j}", prob * rng.uniform(0.0, 0.8), prob))
                 inst = Instance(tuple(actions), "bot", fn)
                 report = solve_randomized(inst)
-                _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+                _, oracle_utility = brute_force_randomized(inst)
                 assert abs(report.utility - oracle_utility) <= 1e-6
                 assert is_IC(inst, report.scheme, 1e-9)
 
@@ -390,22 +395,10 @@ class TestSolveRandomized:
         # and utility must not move, and must match the LP oracle.
         from icx import randomized
         from icx.oracle import brute_force_randomized
-        insts = []
-        for trial in range(300):
-            tiny = 10.0 ** -rng.randint(3, 7)
-            actions = [Action("bot", 0.0, rng.uniform(0.0, tiny))]
-            for idx in range(1, 2 + trial % 5):
-                if rng.random() < 0.5:
-                    prob = rng.uniform(0.3, 1.0)
-                    actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.3) * prob, prob))
-                else:
-                    actions.append(Action(f"a{idx}", rng.uniform(0.0, 0.2),
-                                          tiny * rng.uniform(0.1, 1.0)))
-            insts.append(Instance(tuple(actions), "bot", costfn.Additive(
-                [rng.uniform(0.0, 2.0) for _ in actions])))
+        insts = [scaled_rivals_instance(rng, trial, 3, 7) for trial in range(300)]
         reports = [solve_randomized(inst) for inst in insts]
         for inst, report in zip(insts[:40], reports):
-            _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+            _, oracle_utility = brute_force_randomized(inst)
             assert abs(report.utility - oracle_utility) <= 1e-6
         monkeypatch.setattr(randomized, "EQ_TOL", 1e-11)
         relabelled = 0
@@ -421,41 +414,55 @@ class TestSolveRandomized:
         for trial in range(15):
             inst = random_instance(rng, 7, fn_kind="submodular")
             report = solve_randomized(inst)
-            _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+            _, oracle_utility = brute_force_randomized(inst)
             assert abs(report.utility - oracle_utility) <= 1e-4
 
 
 # Rivals whose success probability is ~1e-9 of the suggestion's or smaller:
 # h_j = a + b/alpha then cancels terms of size ~1e10, and the solver picks a
 # candidate whose closed-form objective claims far more than its scheme
-# delivers.  Each test passes once that arithmetic is robust.
+# delivers.  Each test passes once that arithmetic is robust.  Entries are
+# ((cost, prob) per action, cost weights, the LP oracle's utility).
 ILL_SCALED = {
-    # bot, a1, a2, a3 as (cost, prob); solver 0.3291, oracle 0.50096.
+    # bot, a1, a2, a3; solver 0.3291.
     "four-actions": (
         [(0.0, 3.6e-12), (0.00104, 0.502), (0.0188, 0.598), (0.197, 0.685)],
-        [1.67, 0.65, 1.85, 0.16]),
+        [1.67, 0.65, 1.85, 0.16], 0.50096),
     # Instance 119 of the test_scaled_rivals_feasibility_slack generator with
     # rival probabilities 10**-randint(8, 11) and random.Random(12345);
-    # solver 0.1572, oracle 0.7515.
+    # solver 0.1572.
     "scaled-rivals-119": (
         [(0.0, 1.3927487172427997e-12), (0.02124095740548375, 0.7727433017749554),
          (0.06216838204461173, 0.3717829491117016), (0.1896013663473572, 0.7015888386999365),
          (0.18124518695096958, 8.297976080830008e-12),
          (0.015726713858400538, 0.31128884231788934)],
         [1.4317132894364224, 1.3093165679784518, 0.18239956830785164,
-         1.2466100288301145, 0.7495184627835358, 0.7522786032074369]),
+         1.2466100288301145, 0.7495184627835358, 0.7522786032074369], 0.7515023),
 }
+
+
+def ill_scaled_instance(label):
+    pairs, weights, _ = ILL_SCALED[label]
+    actions = [Action("bot" if t == 0 else f"a{t}", cost, prob)
+               for t, (cost, prob) in enumerate(pairs)]
+    return Instance(tuple(actions), "bot", costfn.Additive(weights))
+
+
+@pytest.mark.parametrize("label", sorted(ILL_SCALED))
+def test_ill_scaled_oracle_values(label):
+    # Pinned so that the strict xfail below keeps failing for the solver's
+    # reason, not the oracle's.
+    from icx.oracle import brute_force_randomized
+    _, oracle_utility = brute_force_randomized(ill_scaled_instance(label))
+    assert oracle_utility == pytest.approx(ILL_SCALED[label][2], abs=1e-6)
 
 
 @pytest.mark.xfail(strict=True, reason="h_j cancels catastrophically on ill-scaled rivals")
 @pytest.mark.parametrize("label", sorted(ILL_SCALED))
 def test_ill_scaled_rivals_match_oracle(label):
     from icx.oracle import brute_force_randomized
-    pairs, weights = ILL_SCALED[label]
-    actions = [Action("bot" if t == 0 else f"a{t}", cost, prob)
-               for t, (cost, prob) in enumerate(pairs)]
-    inst = Instance(tuple(actions), "bot", costfn.Additive(weights))
-    _, oracle_utility = brute_force_randomized(inst, alpha_resolution=0.05)
+    inst = ill_scaled_instance(label)
+    _, oracle_utility = brute_force_randomized(inst)
     assert abs(solve_randomized(inst).utility - oracle_utility) <= 1e-7
 
 

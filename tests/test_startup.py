@@ -114,7 +114,7 @@ def test_digest_does_not_load_openssl(tmp_path, files, argv):
 
 def test_brute_force_loads_numpy_on_use(tmp_path, files):
     inst, _ = files
-    result = _cli(["brute-force", "--mode", "rand", inst, "--alpha-grid", "0.05"], tmp_path)
+    result = _cli(["brute-force", "--mode", "rand", inst], tmp_path)
     assert result == {"code": 0, "numpy": True}
 
 

@@ -4,7 +4,7 @@ Every float literal small enough to be a tolerance (0 < |v| < 1e-3) must be
 the whole value of a module-level constant, and only these constants exist:
 two tolerances (`costfn.EQ_TOL` for one quantity computed two ways,
 `model.DEFAULT_TOL` for utility comparisons and LP pivots), the solver-vs-
-grid-oracle bound of `icx compare --mode rand`, and the golden-section stop
+LP-oracle bound of `icx compare --mode rand`, and the golden-section stop
 width of the LP oracle.
 """
 
