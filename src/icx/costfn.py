@@ -13,7 +13,9 @@ no caller re-proves the submodularity of a typed cost with a 2^n scan.
 and every entry is bit-identical to `value(mask)`: the same float, of the
 same type.  The built-in constructors fill it by subset DP (entry m extends
 m without its highest bit by that bit), which reproduces `value`'s
-ascending-bit summation exactly; the exhaustive checks read the table and
+ascending-bit summation exactly; `families.VTCost` builds its table from
+its structure instead (one of two shared 8-entry rows per subset of its
+k hidden-shift actions).  The exhaustive checks read the table and
 compare whole slices of it at C speed.
 """
 

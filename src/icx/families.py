@@ -16,10 +16,10 @@ import itertools
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .costfn import Additive, CountingOracle, SetFunction, popcount, price_of
+from .costfn import Additive, CountingOracle, SetFunction, bits, popcount, price_of
 from .model import Action, InspectionScheme, Instance, ValidationError
 
 
@@ -40,12 +40,14 @@ class HardParams:
 
     m defaults to ceil(4k/5); m_override exists only to demonstrate the
     growth of the rotation-class count C(k, m)/k at desk scale and is
-    labeled non-standard in experiment reports.
+    labeled non-standard in experiment reports.  `cyclic_masks` holds the
+    k-bit masks of cyclic(T), computed once by rotating T's mask.
     """
 
     k: int
     T: frozenset[int]
     m_override: Optional[int] = None
+    cyclic_masks: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_prime(self.k) and self.k > 5):
@@ -60,6 +62,8 @@ class HardParams:
             raise ValidationError("T must be a subset of {1, ..., k}")
         if len(self.T) != self.m:
             raise ValidationError(f"|T| must be m = {self.m}")
+        object.__setattr__(self, "cyclic_masks",
+                           frozenset(_rotations(_set_to_kmask(self.T, self.k), self.k)))
 
     @property
     def m(self) -> int:
@@ -80,12 +84,14 @@ def random_hard_params(k: int, seed: int, m_override: Optional[int] = None) -> H
 def cyclic(T, k: int) -> list[frozenset[int]]:
     """The distinct cyclic shifts {((j + t) mod k) + 1 : j in T} for t in [k].
 
-    For prime k and 0 < |T| < k all k shifts are distinct (asserted).
+    For prime k and 0 < |T| < k all k shifts are distinct (asserted).  Shift
+    t moves bit j-1 of T's k-bit mask to bit (j+t) mod k, a rotation by t+1,
+    so the shifts are the mask's k rotations.
     """
-    T = frozenset(T)
-    shifts = {frozenset(((j + t) % k) + 1 for j in T) for t in range(1, k + 1)}
+    kmask = _set_to_kmask(T, k)
+    shifts = {frozenset(j + 1 for j in bits(r)) for r in _rotations(kmask, k)}
     out = sorted(shifts, key=sorted)
-    if 0 < len(T) < k and _is_prime(k):
+    if 0 < popcount(kmask) < k and _is_prime(k):
         assert len(out) == k, "cyclic shifts of a nontrivial set must be distinct"
     return out
 
@@ -99,6 +105,16 @@ def _set_to_kmask(s, k: int) -> int:
     return mask
 
 
+def _rotations(kmask: int, k: int) -> list[int]:
+    """The k cyclic rotations of a k-bit mask, kmask itself first."""
+    full = (1 << k) - 1
+    out = [kmask]
+    for _ in range(k - 1):
+        kmask = ((kmask << 1) | (kmask >> (k - 1))) & full
+        out.append(kmask)
+    return out
+
+
 class VTCost(SetFunction):
     """The family's inspection cost over actions (bot, g, x, 1..k).
 
@@ -107,12 +123,16 @@ class VTCost(SetFunction):
     any nonempty inspection, subsets of {1..k} add a small term that is
     doubled for large subsets outside cyclic(T) -- the only footprint the
     hidden set leaves in the value oracle.
+
+    `table()` is built from that structure rather than by 2^n `value` calls:
+    each nonempty subset of {1..k} selects one of two 8-entry rows (the
+    small or the doubled term over the bot/g/x bits), so all but the first
+    8 entries of the 2^(k+3) list share 16 floats, each bit-identical to
+    `value`.
     """
 
     def __init__(self, params: HardParams):
         self.params = params
-        self.cyclic_masks = frozenset(_set_to_kmask(s, params.k)
-                                      for s in cyclic(params.T, params.k))
         self.n = params.k + 3
         self._eps = 1.0 / (80.0 * params.k)
 
@@ -127,11 +147,24 @@ class VTCost(SetFunction):
         rest = mask >> 3
         s = popcount(rest)
         if s > 0:
-            if s < self.params.m or rest in self.cyclic_masks:
+            if s < self.params.m or rest in self.params.cyclic_masks:
                 val += self._eps
             else:
                 val += 2.0 * self._eps
         return val
+
+    def table(self) -> list[float]:
+        low = [self.value(mask) for mask in range(8)]
+        # Once any of 1..k is inspected, the flat charges are those with x
+        # inspected; the small term is added last, as `value` adds it.
+        eps, twice = self._eps, 2.0 * self._eps
+        small = [low[mask | 0b100] + eps for mask in range(8)]
+        large = [low[mask | 0b100] + twice for mask in range(8)]
+        m, cyclic_masks = self.params.m, self.params.cyclic_masks
+        out = low
+        for rest in range(1, 1 << self.params.k):
+            out += small if popcount(rest) < m or rest in cyclic_masks else large
+        return out
 
     def demand(self, prices: Sequence[float]) -> int:
         return demand_vt(self.params, prices, self)
@@ -162,19 +195,15 @@ class XosCertificate:
 
     params: HardParams
 
-    def __post_init__(self):
-        self.cyclic_masks = frozenset(_set_to_kmask(s, self.params.k)
-                                      for s in cyclic(self.params.T, self.params.k))
-
     def _best_large_clause_ratio(self, rest: int, s: int) -> float:
         k, m = self.params.k, self.params.m
         best = min(s, m + 1) / (m + 1)  # sizes above m are always eligible
         if s >= m:
-            inside = sum(1 for c in self.cyclic_masks if c & ~rest == 0)
+            inside = sum(1 for c in self.params.cyclic_masks if c & ~rest == 0)
             if math.comb(s, m) > inside:
                 best = max(best, 1.0)
         else:
-            containing = sum(1 for c in self.cyclic_masks if rest & ~c == 0)
+            containing = sum(1 for c in self.params.cyclic_masks if rest & ~c == 0)
             if math.comb(k - s, m - s) > containing:
                 best = max(best, s / m)
         return best
@@ -297,7 +326,7 @@ def query_experiment(k: int, trials: int, seed: int,
     classes: dict[int, list[int]] = {}
     for combo in itertools.combinations(range(1, k + 1), m):
         kmask = _set_to_kmask(combo, k)
-        canon = _canonical_rotation(kmask, k)
+        canon = min(_rotations(kmask, k))
         classes.setdefault(canon, []).append(kmask)
     class_reps = sorted(classes)
     n_classes = len(class_reps)
@@ -333,17 +362,6 @@ def query_experiment(k: int, trials: int, seed: int,
         "max_queries": max(counts),
         "min_queries": min(counts),
     }
-
-
-def _canonical_rotation(kmask: int, k: int) -> int:
-    full = (1 << k) - 1
-    best = kmask
-    cur = kmask
-    for _ in range(k - 1):
-        cur = ((cur << 1) | (cur >> (k - 1))) & full
-        if cur < best:
-            best = cur
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -358,6 +359,40 @@ class TestGenAndExperiment:
                         "--seed", "1")
         assert code == 0
         assert doc["classes"] == 1 and doc["mean_queries"] == 1.0
+
+
+# sha256 of the hidden-shift family's CLI output, recorded before its cost
+# table was built from structure and its shifts by bit rotation: those must
+# not move a byte.
+GEN_XOS_HARD_SHA256 = {
+    (7, 0): "c0037e112db5a484ff30ed185c082ae88d3cd8c3afbf8bd6dccd4b23958ab2e8",
+    (7, 1): "b349ab4f15d84352d665454d373cb36626fedb42807a15fcfb4830be83e1f631",
+    (11, 0): "238b203f4b0f362bfe92510572d0db2b6dc7da2825ecb0efe4cce58711b842e0",
+    (11, 1): "be68d70a61b1586be461dc710ab54f6058d10e561149f2fcb31eb141c9800101",
+    (13, 0): "aa96be01d9f11daea920752a4e37149e5c729177ccc713523cc1d4d6fba8a176",
+    (13, 1): "fa424dbfda118015d853796cf7efa72ba2550a86a6ced30f78ce197c531067c5",
+}
+QUERY_EXPERIMENT_K13_SHA256 = {
+    0: "9f506a35fe285dd68033962aa46379b51a1aec01a3e3a3fef638900a3524d846",
+    1: "5dfb7e32d620ef368b5953307278fb9276d28be29dad29bb4b64293f48a49d16",
+}
+
+
+class TestHiddenShiftGolden:
+    @pytest.mark.parametrize("k, seed", sorted(GEN_XOS_HARD_SHA256))
+    def test_gen_xos_hard_bytes(self, tmp_path, k, seed):
+        out = tmp_path / "hard.json"
+        assert main(["gen", "--family", "xos-hard", "--k", str(k), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes())
+        digest.update((tmp_path / "hard.json.T.json").read_bytes())
+        assert digest.hexdigest() == GEN_XOS_HARD_SHA256[k, seed]
+
+    @pytest.mark.parametrize("seed", sorted(QUERY_EXPERIMENT_K13_SHA256))
+    def test_query_experiment_k13_bytes(self, capsys, seed):
+        assert main(["query-experiment", "--k", "13", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == QUERY_EXPERIMENT_K13_SHA256[seed]
 
 
 class TestConfigPrecedence:

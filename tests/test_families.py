@@ -1,7 +1,8 @@
 import pytest
 
 from icx import costfn
-from icx.families import (HardParams, VTCost, cyclic, demand_vt, gen_gap_instance,
+from icx.families import (HardParams, VTCost, _set_to_kmask, cyclic, demand_vt,
+                          gen_gap_instance,
                           gen_intro_example, gen_nonic_example, gen_xos_hard,
                           gap_reference_scheme, query_experiment,
                           random_hard_params, unique_optimal_scheme,
@@ -53,6 +54,13 @@ class TestHardParams:
         with pytest.raises(ValidationError):
             HardParams(7, frozenset([1, 2, 3]))
 
+    @pytest.mark.parametrize("k", [7, 11, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cyclic_masks_are_the_shifts(self, k, seed):
+        for m_override in (None, (k - 1) // 2):
+            params = random_hard_params(k, seed, m_override)
+            assert params.cyclic_masks == {_set_to_kmask(s, k) for s in cyclic(params.T, k)}
+
 
 class TestVTCost:
     def test_flat_charges(self):
@@ -86,6 +94,24 @@ class TestVTCost:
         gain_small = fn.value(mask | (1 << i)) - fn.value(mask)
         gain_big = fn.value(mask | (1 << j) | (1 << i)) - fn.value(mask | (1 << j))
         assert gain_big > gain_small
+
+    @pytest.mark.parametrize("k", [7, 11, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m_override", [None, "half"])
+    def test_table_bit_identical_to_value(self, k, seed, m_override):
+        params = random_hard_params(k, seed, (k - 1) // 2 if m_override else None)
+        fn = VTCost(params)
+        table = fn.table()
+        expected = [fn.value(m) for m in range(1 << fn.n)]
+        assert len(table) == len(expected)
+        assert all(type(a) is float and a.hex() == b.hex()
+                   for a, b in zip(table, expected))
+
+    def test_counted_table_counts_every_entry(self):
+        params = random_hard_params(11, seed=4)
+        counted = costfn.CountingOracle(VTCost(params))
+        assert counted.table() == VTCost(params).table()
+        assert counted.value_queries == 1 << 14
 
     def test_monotone_sampled_larger_k(self):
         for k in (11, 13):
