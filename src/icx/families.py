@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -318,6 +317,8 @@ def query_experiment(k: int, trials: int, seed: int,
     position of T's class is uniform on 1..N for N = C(k, m)/k classes,
     giving the analytic mean (N+1)/2.
     """
+    import statistics  # loads fractions and decimal: not at import time
+
     if trials < 1:
         raise ValidationError("need at least one trial")
     m = m_override if m_override is not None else math.ceil(4 * k / 5)

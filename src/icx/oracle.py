@@ -11,13 +11,15 @@ suggestion's total cost in 1/alpha, which makes the whole payment range a
 golden-section bracket.
 
 Both exhaustive oracles work on action indices and subset bitmasks; ids
-appear only in the schemes they return.  Per suggestion, the deterministic
-oracle settles its exact Fraction IC bounds once and sorts them, so each
-inspected mask reads its smallest IC payment off the first bound it leaves
-uninspected; the randomized oracle builds the LP skeleton (subset masks,
-their costs, the 0/1 constraint matrix) once and recomputes only the
-right-hand side at each payment.  Each mask's cost is queried at most once
-per suggestion.
+appear only in the schemes they return.  The deterministic oracle scales
+every action's cost and success probability once to integers over one
+common denominator; per suggestion, it settles the IC bounds as exact
+integer pairs once and ranks them, so each inspected mask reads its
+smallest IC payment off the first bound it leaves uninspected, comparing
+two integer ranks.  The randomized oracle builds the LP skeleton (subset
+masks, their costs, the 0/1 constraint matrix) once per suggestion and
+recomputes only the right-hand side at each payment.  Each mask's cost is
+queried at most once per suggestion.
 
 numpy is imported inside the functions that build or solve an LP, so that
 importing `icx` (and running the solvers) never loads it.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Hashable, Sequence
 
 from .costfn import EQ_TOL
@@ -198,75 +200,97 @@ def simplex_solve(lp: LinearProgram):
 # ---------------------------------------------------------------------------
 
 
+def _integers(actions) -> tuple[list[int], list[int]]:
+    """Every action's success probability and cost as integers over one denominator.
+
+    A binary float is m / 2^e exactly, so scaling all of them by the largest
+    2^e gives integers with the same ratios: a ratio of differences of them
+    is the exact ratio of the floats' differences.  Returns (fs, cs).
+    """
+    ratios = [(a.prob.as_integer_ratio(), a.cost.as_integer_ratio()) for a in actions]
+    den = max(d for pair in ratios for _, d in pair)
+    return ([nf * (den // df) for (nf, df), _ in ratios],
+            [nc * (den // dc) for _, (nc, dc) in ratios])
+
+
+def _compare(a: tuple, b: tuple) -> int:
+    """Has the sign of p/q - p'/q' for bounds (p, q, ...) and (p', q', ...), q, q' > 0."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
 class _ICBounds:
     """Exact IC payment bounds of deterministic suggestion k, settled once.
 
     With k uninspected, each uninspected deviation j with f(j) < f(k) bounds
     the payment from below by (c(k) - c(j)) / (f(k) - f(j)), each one with
     f(j) > f(k) bounds it from above, and one with f(j) == f(k) and
-    c(j) < c(k) rules k out.  The bounds are exact Fractions, sorted once, so
-    the smallest IC payment for an inspected mask is the first lower bound
-    whose action the mask leaves uninspected, if it does not pass the first
-    such upper bound.  A sentinel with bit 0 ends each list: below, the
-    bound c(k)/f(k) that the null action implies (0 when f(k) = c(k) = 0);
+    c(j) < c(k) rules k out.  `fs` and `cs` are the integers of `_integers`,
+    so each bound is an exact pair (p, q) with q > 0, compared with another
+    by cross-multiplying.  Each bound gets an integer rank in their sorted
+    order, and each lower bound its payment (the exact pair and the
+    correctly rounded float p / q), once, so the smallest IC payment for an
+    inspected mask is the first lower bound whose action the mask leaves
+    uninspected, if its rank does not pass that of the first such upper
+    bound.  A sentinel with bit 0 ends each list: below, the bound
+    c(k)/f(k) that the null action implies (0 when f(k) = c(k) = 0);
     above, 1.
     """
 
     __slots__ = ("bit", "caught", "lower", "upper", "deaths")
 
-    def __init__(self, fs: Sequence[float], cs: Sequence[float], k: int):
-        fi, ci = Fraction(fs[k]), Fraction(cs[k])
+    def __init__(self, fs: Sequence[int], cs: Sequence[int], k: int):
+        fi, ci = fs[k], cs[k]
         self.bit = 1 << k
         # Inspecting k itself catches every deviation: only IR binds.
         if ci == 0:
-            self.caught = _payment(Fraction(0))
+            self.caught = _payment(0, 1)
         elif fi == 0 or ci > fi:
             self.caught = None
         else:
-            self.caught = _payment(ci / fi)
-        if fi == 0:
-            base = None if ci > 0 else Fraction(0)
-        else:
-            base = ci / fi
+            self.caught = _payment(ci, fi)
         lower, upper, deaths = [], [], 0
         for j in range(len(fs)):
             if j == k:
                 continue
-            fj, cj = Fraction(fs[j]), Fraction(cs[j])
-            df, dc = fi - fj, ci - cj
+            df, dc = fi - fs[j], ci - cs[j]
             if df > 0:
-                lower.append((dc / df, 1 << j))
+                lower.append((dc, df, 1 << j, True))
             elif df < 0:
-                upper.append((dc / df, 1 << j))
+                upper.append((-dc, -df, 1 << j, False))
             elif dc > 0:
                 deaths |= 1 << j  # same success probability, strictly cheaper
         self.deaths = deaths
-        if base is None:
+        if fi == 0 and ci > 0:
             self.lower = self.upper = None
             return
-        self.lower = [(_payment(v), bit) for v, bit in
-                      sorted(((v, bit) for v, bit in lower if v > base), reverse=True)]
-        self.lower.append((_payment(base), 0))
-        self.upper = sorted((v, bit) for v, bit in upper if v < 1)
-        self.upper.append((Fraction(1), 0))
+        base = (ci, fi, 0, True) if fi else (0, 1, 0, True)
+        lower = [b for b in lower if _compare(b, base) > 0] + [base]
+        upper = [b for b in upper if b[0] < b[1]] + [(1, 1, 0, False)]
+        # Rank the bounds in ascending order.  sorted() is stable, so a lower
+        # bound ranks below an upper bound of equal value: comparing two
+        # ranks compares the two values exactly.
+        ranked = list(enumerate(sorted(lower + upper, key=cmp_to_key(_compare))))
+        self.lower = [(rank, bit, _payment(p, q))
+                      for rank, (p, q, bit, is_lower) in reversed(ranked) if is_lower]
+        self.upper = [(rank, bit) for rank, (p, q, bit, is_lower) in ranked if not is_lower]
 
     def payment(self, mask: int):
-        """(exact, float) smallest IC payment with `mask` inspected, or None."""
+        """((p, q), float) smallest IC payment p/q with `mask` inspected, or None."""
         if mask & self.bit:
             return self.caught
         if self.lower is None or self.deaths & ~mask:
             return None
-        for lo, bit in self.lower:
+        for lo, bit, pay in self.lower:
             if not mask & bit:
                 break
         for hi, bit in self.upper:
             if not mask & bit:
                 break
-        return lo if lo[0] <= hi else None
+        return pay if lo <= hi else None
 
 
-def _payment(alpha: Fraction) -> tuple[Fraction, float]:
-    return alpha, float(alpha)
+def _payment(p: int, q: int) -> tuple[tuple[int, int], float]:
+    return (p, q), p / q
 
 
 def brute_force_deterministic(inst: Instance):
@@ -278,12 +302,12 @@ def brute_force_deterministic(inst: Instance):
     """
     if inst.n > DET_ORACLE_MAX_N:
         raise OracleSizeError(f"deterministic oracle limited to n <= {DET_ORACLE_MAX_N}")
-    fs = [a.prob for a in inst.actions]
-    cs = [a.cost for a in inst.actions]
+    fs, cs = _integers(inst.actions)
     value = inst.cost_fn.value
     costs: list[float | None] = [None] * (1 << inst.n)
     best = None
-    for k, prob in enumerate(fs):
+    for k, a in enumerate(inst.actions):
+        prob = a.prob
         bounds = _ICBounds(fs, cs, k)
         for mask in range(1 << inst.n):
             pay = bounds.payment(mask)
@@ -294,17 +318,17 @@ def brute_force_deterministic(inst: Instance):
             if cost is None:
                 cost = costs[mask] = value(mask)
             utility = (1.0 - alpha) * prob - cost
-            key = (utility, -mask.bit_count(), -alpha, -k)
-            if best is None or key > best[0]:
-                best = (key, k, alpha, mask)
+            if best is None or utility >= best[0][0]:
+                key = (utility, -mask.bit_count(), -alpha, -k)
+                if best is None or key > best[0]:
+                    best = (key, k, alpha, mask)
     key, k, alpha, mask = best
     return deterministic_scheme(inst.actions[k].id, alpha, inst.ids_of(mask)), key[0]
 
 
 def no_inspection_best(inst: Instance):
     """Best IC utility when the principal never inspects (plain contracts)."""
-    fs = [a.prob for a in inst.actions]
-    cs = [a.cost for a in inst.actions]
+    fs, cs = _integers(inst.actions)
     best = None
     for k, a in enumerate(inst.actions):
         pay = _ICBounds(fs, cs, k).payment(0)

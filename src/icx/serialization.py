@@ -52,11 +52,23 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def instance_digest(doc: dict) -> str:
-    """sha256 of canonical_dumps(doc), hashed piece by piece."""
+    """sha256 of canonical_dumps(doc): in one call when no list in it is longer
+    than _PIECE_ITEMS, else piece by piece."""
+    if not _has_long_list(doc):
+        return sha256(canonical_dumps(doc).encode()).hexdigest()
     digest = sha256()
     for piece in _canonical_pieces(doc):
         digest.update(piece.encode())
     return digest.hexdigest()
+
+
+def _has_long_list(obj: Any) -> bool:
+    if isinstance(obj, list):
+        return len(obj) > _PIECE_ITEMS or any(
+            _has_long_list(item) for item in obj if isinstance(item, (list, dict)))
+    if isinstance(obj, dict):
+        return any(_has_long_list(value) for value in obj.values())
+    return False
 
 
 def _canonical_pieces(obj: Any):

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from icx import cli, costfn
 from icx.cli import main
-from icx.families import gen_intro_example, gen_nonic_example
+from icx.families import gen_gap_instance, gen_intro_example, gen_nonic_example
 from icx.model import deterministic_scheme
 from icx.serialization import instance_to_json, scheme_to_json
+from conftest import random_instance
 
 
 def run(capsys, *argv):
@@ -393,6 +395,37 @@ class TestHiddenShiftGolden:
         assert main(["query-experiment", "--k", "13", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == QUERY_EXPERIMENT_K13_SHA256[seed]
+
+
+# sha256 of `brute-force --mode det` and `compare --mode det` stdout,
+# recorded while the deterministic oracle still settled its IC bounds in
+# Fractions: settling them in integers must not move a byte.
+DET_ORACLE_INSTANCES = {
+    "intro": gen_intro_example,
+    "nonic": lambda: gen_nonic_example()[0],
+    "gap10": lambda: gen_gap_instance(10),
+    "table12": lambda: random_instance(random.Random(27), 12),  # ties; n = DET_ORACLE_MAX_N
+}
+DET_ORACLE_SHA256 = {
+    ("intro", "brute-force"): "df6f06c13ec822cbb163cdfd2b605393924c1994e2614293091a314d04c5c2bf",
+    ("intro", "compare"): "c9039c7034dcb4cc62ebc8792e9b2d5513731e59fe154b1c53fb0f88ae79bace",
+    ("nonic", "brute-force"): "47c7572acd40693e863055480b4dec0b44d4ce6d5b361452e9da97ca6c8394c1",
+    ("nonic", "compare"): "a7121997e165981b47b552e9b1823d3fd07f6c7d6a6e5ab666f092992214d221",
+    ("gap10", "brute-force"): "5e55ffb0ac54eb1733ab37fa38000c631157dc0dd7a12af1a15ffc13b85af1ad",
+    ("gap10", "compare"): "5a85f9c6d9d667d0575ff4c59b393df0b36c063173db76d548870b63e4128a76",
+    ("table12", "brute-force"): "7aef5a245d9c0ff731f068f3a39772d8e0e54b274bac426cb79d9155ed8edbe4",
+    ("table12", "compare"): "62539ee87acfdb8dac7bfbf9465399fe4d21d582e95e6188524f4c71a8fd736f",
+}
+
+
+class TestDetOracleGolden:
+    @pytest.mark.parametrize("name, command", sorted(DET_ORACLE_SHA256))
+    def test_det_oracle_bytes(self, capsys, tmp_path, name, command):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance_to_json(DET_ORACLE_INSTANCES[name]())))
+        assert main([command, "--mode", "det", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DET_ORACLE_SHA256[name, command]
 
 
 class TestConfigPrecedence:

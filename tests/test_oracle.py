@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,17 @@ def _ref_grid_search_utility(inst, step):
     return best
 
 
+@dataclass
+class _MaskLog(costfn.CountingOracle):
+    """Counts like its parent and records every mask it is asked for."""
+
+    masks: list = field(default_factory=list)
+
+    def value(self, mask):
+        self.masks.append(mask)
+        return super().value(mask)
+
+
 def _battery(count=420):
     """Seeded instances, n = 1..7: grid ties, free and f = 0 actions, every cost type."""
     rng = random.Random(20240617)
@@ -483,8 +495,7 @@ class TestIndexNativeOracles:
 
     def test_ic_bounds_match_reference_per_pair(self):
         for inst in _battery():
-            fs = [a.prob for a in inst.actions]
-            cs = [a.cost for a in inst.actions]
+            fs, cs = oracle._integers(inst.actions)
             for k, a in enumerate(inst.actions):
                 bounds = oracle._ICBounds(fs, cs, k)
                 for mask in range(1 << inst.n):
@@ -492,6 +503,10 @@ class TestIndexNativeOracles:
                     if ref is not None and ref > 1:
                         ref = None
                     pay = bounds.payment(mask)
+                    if pay is not None:
+                        (p, q), alpha = pay
+                        assert q > 0
+                        pay = Fraction(p, q), alpha
                     assert pay == (None if ref is None else (ref, float(ref)))
 
     def test_deterministic_matches_reference(self):
@@ -500,6 +515,31 @@ class TestIndexNativeOracles:
             got = brute_force_deterministic(inst.with_cost_fn(counted))
             assert _answer(got) == _answer(_ref_brute_force_deterministic(inst))
             assert counted.value_queries <= 1 << inst.n  # each mask at most once
+            assert no_inspection_best(inst) == _ref_no_inspection_best(inst)
+
+    def test_deterministic_queries_exactly_the_ic_masks(self):
+        # Each mask once, and only when some suggestion is IC with it
+        # inspected: so the oracle's query count is fixed by the instance.
+        for inst in _battery():
+            log = _MaskLog(inst.cost_fn)
+            brute_force_deterministic(inst.with_cost_fn(log))
+            ic = []
+            for mask in range(1 << inst.n):
+                alphas = [_ref_feasible_alpha(inst, a.id, inst.ids_of(mask))
+                          for a in inst.actions]
+                if any(alpha is not None and alpha <= 1 for alpha in alphas):
+                    ic.append(mask)
+            assert sorted(log.masks) == ic
+
+    def test_deterministic_exact_at_every_scale(self):
+        # Beyond the battery: rivals succeeding with probability 1e-8..1e-11
+        # against costs up to 0.2, and tied tables at n = 8..10.
+        rng = random.Random(20241015)
+        insts = [scaled_rivals_instance(rng, t, 8, 11) for t in range(300)]
+        insts += [random_instance(rng, n) for n in (8, 9, 10, 10)]
+        for inst in insts:
+            assert (_answer(brute_force_deterministic(inst))
+                    == _answer(_ref_brute_force_deterministic(inst)))
             assert no_inspection_best(inst) == _ref_no_inspection_best(inst)
 
     def test_lp_matches_reference_at_fixed_payments(self):

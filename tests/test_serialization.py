@@ -113,3 +113,18 @@ class TestDigest:
         for doc in docs:
             expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
             assert instance_digest(doc) == expected
+
+    def test_small_documents_hashed_in_one_call(self, monkeypatch):
+        # A 2^16-entry table is still hashed in pieces of at most
+        # _PIECE_ITEMS items; a document with no such list in one call.
+        calls = []
+        dumps = serialization.canonical_dumps
+        monkeypatch.setattr(serialization, "canonical_dumps",
+                            lambda obj: calls.append(obj) or dumps(obj))
+        doc = instance_to_json(gen_gap_instance(16))
+        instance_digest(doc)
+        assert calls == [doc]
+        calls.clear()
+        instance_digest({"cost_fn": {"type": "table", "values": [0.5] * (1 << 16)}})
+        assert len(calls) > 16
+        assert max(len(c) for c in calls if isinstance(c, list)) == serialization._PIECE_ITEMS

@@ -1,4 +1,5 @@
-"""Startup cost: numpy loads only when an LP oracle runs, OpenSSL never.
+"""Startup cost: numpy loads only when an LP oracle runs, OpenSSL never, and
+fractions and decimal only for query-experiment.
 
 Each check runs in a fresh interpreter, since numpy stays in sys.modules
 once anything in the test process has imported it.
@@ -30,16 +31,16 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 # Runs cli.main(argv) when argv is non-empty, after `import icx`, then prints
-# whether hashlib's OpenSSL backend was imported.
-_HASHLIB_PROBE = """
+# which of the named modules were imported.
+_MODULES_PROBE = """
 import contextlib, io, json, sys
 import icx
-argv = json.loads(sys.argv[1])
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 if argv:
     from icx import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-print("_hashlib" in sys.modules)
+print(json.dumps([name for name in names if name in sys.modules]))
 """
 
 BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
@@ -69,6 +70,11 @@ def _python(*args, cwd):
 
 def _cli(argv, cwd):
     return json.loads(_python("-c", _CLI_PROBE, json.dumps(argv), cwd=cwd))
+
+
+def _loaded(argv, names, cwd):
+    return json.loads(_python("-c", _MODULES_PROBE, json.dumps(argv), json.dumps(names),
+                              cwd=cwd))
 
 
 @pytest.fixture
@@ -109,7 +115,28 @@ def test_solver_commands_do_not_load_numpy(tmp_path, files, argv):
 def test_digest_does_not_load_openssl(tmp_path, files, argv):
     inst, _ = files
     argv = [a.format(inst=inst) for a in argv]
-    assert _python("-c", _HASHLIB_PROBE, json.dumps(argv), cwd=tmp_path).strip() == "False"
+    assert _loaded(argv, ["_hashlib"], tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve", "{inst}", "--mode", "det"],
+    ["solve", "{inst}", "--mode", "rand"],
+    ["eval", "{inst}", "{scheme}"],
+    ["compare", "--mode", "det", "{inst}"],
+    ["compare", "--mode", "rand", "{inst}"],
+    ["brute-force", "--mode", "det", "{inst}"],
+    ["brute-force", "--mode", "rand", "{inst}"],
+    ["check-costfn", "{inst}"],
+    ["gen", "--family", "intro"],
+    ["gen", "--family", "nonic"],
+    ["gen", "--family", "xos-hard", "--out", "{out}"],
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")) or "import")
+def test_commands_do_not_load_fractions_or_decimal(tmp_path, files, argv):
+    # Only query-experiment, through `statistics`, needs either module.
+    inst, scheme = files
+    argv = [a.format(inst=inst, scheme=scheme, out=tmp_path / "hard.json") for a in argv]
+    assert _loaded(argv, ["fractions", "decimal"], tmp_path) == []
 
 
 def test_brute_force_loads_numpy_on_use(tmp_path, files):
