@@ -3,8 +3,10 @@
 
 Covers: the three-action warm-up instance (plain contract vs deterministic
 vs randomized inspection), the non-IC example, the deterministic-vs-
-randomized gap family, the hidden-shift XOS instance at k=7, and the
-query-count experiment at k=13 with and without the size override.
+randomized gap family with the exhaustive deterministic oracle's
+cross-check at n=10 and at its size limit n=12, the hidden-shift XOS
+instance at k=7, and the query-count experiment at k=13 with and without
+the size override.  Exits 1 when the oracle and the solver disagree.
 
 Usage: python scripts/reproduce_results.py [--seed 8] [--trials 500]
 """
@@ -19,9 +21,9 @@ from icx.families import (gen_gap_instance, gen_intro_example,
                           query_experiment, random_hard_params,
                           unique_optimal_scheme, xos_certificate)
 from icx.model import agent_utility, is_IC, principal_utility
-from icx.oracle import (brute_force_deterministic, brute_force_randomized,
-                        deterministic_non_ic_best, lp_best_distribution,
-                        no_inspection_best)
+from icx.oracle import (DET_ORACLE_MAX_N, brute_force_deterministic,
+                        brute_force_randomized, deterministic_non_ic_best,
+                        lp_best_distribution, no_inspection_best)
 from icx.randomized import solve_randomized
 
 
@@ -61,6 +63,7 @@ def nonic_section():
 
 
 def gap_section(n=10):
+    """Returns False when the exhaustive oracle disagrees with the solver."""
     print(f"== deterministic-vs-randomized gap family (n={n}) ==")
     inst = gen_gap_instance(n)
     det, _ = solve_deterministic(inst)
@@ -69,7 +72,16 @@ def gap_section(n=10):
     line("deterministic optimum", f"{det.utility:.10f}", f"= 2/2^{n}")
     line("randomized reference scheme", f"{rand_ref:.10f}", f"= {n}/2^{n+1}")
     line("ratio", f"{rand_ref / det.utility:.3f}", f">= n/4 = {n / 4}")
+    agree = True
+    for m in (n, DET_ORACLE_MAX_N):
+        other = gen_gap_instance(m)
+        solved = solve_deterministic(other)[0].utility
+        _, oracle = brute_force_deterministic(other)
+        agree = agree and oracle == solved
+        line(f"exhaustive oracle cross-check (n={m})", f"{oracle:.10f}",
+             f"= solver = 2/2^{m}" if oracle == solved else f"solver: {solved!r}")
     print()
+    return agree
 
 
 def hard_section(seed):
@@ -117,10 +129,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     intro_section()
     nonic_section()
-    gap_section()
+    agree = gap_section()
     hard_section(args.seed)
     experiment_section(args.seed, args.trials)
-    return 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

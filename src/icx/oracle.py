@@ -2,11 +2,11 @@
 
 Everything here exists to verify the fast solvers, so it favors transparent
 exhaustive computation over cleverness: the deterministic oracle enumerates
-every (suggestion, inspected set) pair; the randomized oracle searches the
-payment axis and solves an exact LP in the inspection probabilities at each
-payment it tries; the coupling LP minimizes expected cost over all subset
-distributions with prescribed marginals.  Nothing here is imported from the
-solvers: the payment search rests only on the convexity of each
+every IC (suggestion, inspected set) pair; the randomized oracle searches
+the payment axis and solves an exact LP in the inspection probabilities at
+each payment it tries; the coupling LP minimizes expected cost over all
+subset distributions with prescribed marginals.  Nothing here is imported
+from the solvers: the payment search rests only on the convexity of each
 suggestion's total cost in 1/alpha, which makes the whole payment range a
 golden-section bracket.
 
@@ -14,12 +14,15 @@ Both exhaustive oracles work on action indices and subset bitmasks; ids
 appear only in the schemes they return.  The deterministic oracle scales
 every action's cost and success probability once to integers over one
 common denominator; per suggestion, it settles the IC bounds as exact
-integer pairs once and ranks them, so each inspected mask reads its
-smallest IC payment off the first bound it leaves uninspected, comparing
-two integer ranks.  The randomized oracle builds the LP skeleton (subset
-masks, their costs, the 0/1 constraint matrix) once per suggestion and
-recomputes only the right-hand side at each payment.  Each mask's cost is
-queried at most once per suggestion.
+integer pairs once and ranks them.  A mask's smallest IC payment is the
+first lower bound it leaves uninspected, so the IC masks fall into one
+group per lower bound (plus one for the masks that inspect the
+suggestion), each a fixed part and every subset of a free part, at one
+payment; the oracle walks the groups and never visits a mask that is not
+IC.  The randomized oracle builds the LP skeleton (subset masks, their
+costs, the 0/1 constraint matrix) once per suggestion and recomputes only
+the right-hand side at each payment.  Each mask's cost is queried at most
+once per suggestion.
 
 numpy is imported inside the functions that build or solve an LP, so that
 importing `icx` (and running the solvers) never loads it.
@@ -231,9 +234,9 @@ class _ICBounds:
     correctly rounded float p / q), once, so the smallest IC payment for an
     inspected mask is the first lower bound whose action the mask leaves
     uninspected, if its rank does not pass that of the first such upper
-    bound.  A sentinel with bit 0 ends each list: below, the bound
-    c(k)/f(k) that the null action implies (0 when f(k) = c(k) = 0);
-    above, 1.
+    bound; `groups` lists the IC masks from the same ranking.  A sentinel
+    with bit 0 ends each list: below, the bound c(k)/f(k) that the null
+    action implies (0 when f(k) = c(k) = 0); above, 1.
     """
 
     __slots__ = ("bit", "caught", "lower", "upper", "deaths")
@@ -288,16 +291,48 @@ class _ICBounds:
                 break
         return pay if lo <= hi else None
 
+    def groups(self, n: int):
+        """The IC masks over n actions, as (need, free, payment) groups.
+
+        Each group holds the masks `need | sub`, for every submask `sub` of
+        `free`, all at one payment.  The masks that inspect k form one group
+        at `caught`.  Every other IC mask inspects `deaths` and has a first
+        uninspected lower bound L_r; it then also inspects L_0..L_{r-1}
+        and every upper bound ranked below L_r, and the rest is free.  The
+        group is empty when the upper sentinel, which no mask inspects,
+        ranks below L_r.  `need` never meets L_r or k, since each action
+        other than k falls in at most one of the bound lists and `deaths`.
+        """
+        full = (1 << n) - 1
+        if self.caught is not None:
+            yield self.bit, full & ~self.bit, self.caught
+        if self.lower is None:
+            return
+        need = self.deaths
+        for lo, bit, pay in self.lower:
+            fixed = need
+            for hi, up in self.upper:
+                if hi > lo:
+                    yield fixed, full & ~(fixed | bit | self.bit), pay
+                    break
+                if not up:  # the sentinel, which no mask inspects
+                    break
+                fixed |= up
+            need |= bit
+
 
 def _payment(p: int, q: int) -> tuple[tuple[int, int], float]:
     return (p, q), p / q
 
 
 def brute_force_deterministic(inst: Instance):
-    """Exhaustive (suggestion, inspected set) search; n <= 12.
+    """Exhaustive search over the IC (suggestion, inspected set) pairs; n <= 12.
 
-    For each pair, takes the cheapest IC payment and scores the principal's
-    utility; returns (scheme, utility).  Each mask's cost is queried at most
+    Each pair is taken at its cheapest IC payment and scored by the
+    principal's utility; returns (scheme, utility).  Per suggestion, the
+    pairs come in the groups of `_ICBounds.groups`, one payment each, so a
+    mask that is not IC is never visited.  Exact ties go to the smallest
+    suggestion, then the smallest mask.  Each mask's cost is queried at most
     once, and only when some suggestion is IC with it inspected.
     """
     if inst.n > DET_ORACLE_MAX_N:
@@ -305,25 +340,27 @@ def brute_force_deterministic(inst: Instance):
     fs, cs = _integers(inst.actions)
     value = inst.cost_fn.value
     costs: list[float | None] = [None] * (1 << inst.n)
-    best = None
+    best, top = (-math.inf,), -math.inf  # the best key and its utility
     for k, a in enumerate(inst.actions):
-        prob = a.prob
-        bounds = _ICBounds(fs, cs, k)
-        for mask in range(1 << inst.n):
-            pay = bounds.payment(mask)
-            if pay is None:
-                continue
-            alpha = pay[1]
-            cost = costs[mask]
-            if cost is None:
-                cost = costs[mask] = value(mask)
-            utility = (1.0 - alpha) * prob - cost
-            if best is None or utility >= best[0][0]:
-                key = (utility, -mask.bit_count(), -alpha, -k)
-                if best is None or key > best[0]:
-                    best = (key, k, alpha, mask)
-    key, k, alpha, mask = best
-    return deterministic_scheme(inst.actions[k].id, alpha, inst.ids_of(mask)), key[0]
+        for need, free, (_, alpha) in _ICBounds(fs, cs, k).groups(inst.n):
+            gain = (1.0 - alpha) * a.prob
+            sub = 0
+            while True:  # the submasks of `free`, ascending
+                mask = need | sub
+                cost = costs[mask]
+                if cost is None:
+                    cost = costs[mask] = value(mask)
+                utility = gain - cost
+                if utility >= top:
+                    key = (utility, -mask.bit_count(), -alpha, -k, -mask)
+                    if key > best:
+                        best, top = key, utility
+                if sub == free:
+                    break
+                sub = (sub - free) & free
+    utility, _, neg_alpha, neg_k, neg_mask = best
+    return (deterministic_scheme(inst.actions[-neg_k].id, -neg_alpha, inst.ids_of(-neg_mask)),
+            utility)
 
 
 def no_inspection_best(inst: Instance):

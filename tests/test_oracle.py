@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icx import costfn, oracle, randomized
 from icx.deterministic import solve_deterministic
@@ -358,6 +360,30 @@ def _ref_brute_force_deterministic(inst):
     return deterministic_scheme(i, alpha, inspected), best[0][0]
 
 
+def _ref_scan_deterministic(inst):
+    """The per-mask scan that the oracle's IC groups replace: every
+    (suggestion, mask) pair in ascending order, each priced by
+    `_ICBounds.payment`, ties going to the first pair found."""
+    fs, cs = oracle._integers(inst.actions)
+    costs = [None] * (1 << inst.n)
+    best = None
+    for k, a in enumerate(inst.actions):
+        bounds = oracle._ICBounds(fs, cs, k)
+        for mask in range(1 << inst.n):
+            pay = bounds.payment(mask)
+            if pay is None:
+                continue
+            alpha = pay[1]
+            if costs[mask] is None:
+                costs[mask] = inst.cost_fn.value(mask)
+            utility = (1.0 - alpha) * a.prob - costs[mask]
+            key = (utility, -mask.bit_count(), -alpha, -k)
+            if best is None or key > best[0]:
+                best = (key, k, alpha, mask)
+    key, k, alpha, mask = best
+    return deterministic_scheme(inst.actions[k].id, alpha, inst.ids_of(mask)), key[0]
+
+
 def _ref_no_inspection_best(inst):
     best = None
     for a in inst.actions:
@@ -509,6 +535,24 @@ class TestIndexNativeOracles:
                         pay = Fraction(p, q), alpha
                     assert pay == (None if ref is None else (ref, float(ref)))
 
+    def test_ic_groups_partition_the_ic_masks(self):
+        # Each IC mask in exactly one group, at the payment `payment` gives
+        # it.  Answers alone would not show a group that also holds non-IC
+        # masks: the agent's best response is IC on the same mask, and wins.
+        for inst in _battery():
+            fs, cs = oracle._integers(inst.actions)
+            for k in range(inst.n):
+                bounds = oracle._ICBounds(fs, cs, k)
+                got = {}
+                for need, free, pay in bounds.groups(inst.n):
+                    assert not need & free
+                    for sub in range(1 << inst.n):
+                        if sub & free == sub:
+                            assert need | sub not in got
+                            got[need | sub] = pay
+                want = {mask: bounds.payment(mask) for mask in range(1 << inst.n)}
+                assert got == {mask: pay for mask, pay in want.items() if pay is not None}
+
     def test_deterministic_matches_reference(self):
         for inst in _battery():
             counted = costfn.CountingOracle(inst.cost_fn)
@@ -541,6 +585,19 @@ class TestIndexNativeOracles:
             assert (_answer(brute_force_deterministic(inst))
                     == _answer(_ref_brute_force_deterministic(inst)))
             assert no_inspection_best(inst) == _ref_no_inspection_best(inst)
+
+    def test_deterministic_groups_match_the_mask_scan_at_the_size_limit(self):
+        # Beyond the battery, at n = 11 and 12 where the IC groups skip the
+        # most masks: the same answer and the same queried masks as the
+        # per-mask scan they replace.
+        rng = random.Random(20241019)
+        for n in (11, 11, 12, 12):
+            inst = random_instance(rng, n)
+            log, ref_log = _MaskLog(inst.cost_fn), _MaskLog(inst.cost_fn)
+            got = brute_force_deterministic(inst.with_cost_fn(log))
+            assert _answer(got) == _answer(_ref_scan_deterministic(inst.with_cost_fn(ref_log)))
+            assert sorted(log.masks) == sorted(ref_log.masks)
+            assert len(set(log.masks)) == len(log.masks)
 
     def test_lp_matches_reference_at_fixed_payments(self):
         rng = random.Random(7)
@@ -596,3 +653,27 @@ class TestIndexNativeOracles:
                                 _ref_lp_best_distribution(
                                     inst, inst.actions[skeleton.k].id, alpha))
             assert answer == _answer(brute_force_randomized(inst))
+
+
+@st.composite
+def grid_instance(draw):
+    """n <= 6 actions on the 1/8 grid, so that rivals' IC bounds often
+    coincide, with a monotone table whose increments are often zero, so
+    that masks often tie on cost and on size."""
+    n = draw(st.integers(1, 6))
+    grid = st.sampled_from(GRID)
+    actions = [Action("bot", 0.0, draw(grid))]
+    actions += [Action(f"a{i}", draw(grid), draw(grid)) for i in range(1, n)]
+    bumps = draw(st.lists(st.sampled_from((0.0, 0.0, 0.125)),
+                          min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    vals = [0.0]
+    for mask, bump in enumerate(bumps, 1):
+        vals.append(max(vals[mask & ~(1 << i)] for i in costfn.bits(mask)) + bump)
+    return Instance(tuple(actions), "bot", costfn.ExplicitTable(vals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_instance())
+def test_deterministic_exact_ties_match_reference(inst):
+    assert (_answer(brute_force_deterministic(inst))
+            == _answer(_ref_brute_force_deterministic(inst)))
