@@ -201,10 +201,8 @@ def cmd_gen(args) -> int:
         # does not spell out the hidden set; the sidecar records it.
         table_inst = inst.with_cost_fn(ExplicitTable(inst.cost_fn.table()))
         _emit(serialization.instance_to_json(table_inst), args.out)
-        with open(args.out + ".T.json", "w") as fh:
-            json.dump({"k": params.k, "m": params.m, "T": sorted(params.T),
-                       "seed": args.seed}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit({"k": params.k, "m": params.m, "T": sorted(params.T), "seed": args.seed},
+              args.out + ".T.json")
     return 0
 
 

@@ -24,6 +24,7 @@ bitmask over the instance's action-list order, bit i = actions[i]):
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 # CPython's built-in sha256 gives the same digest as hashlib's without
@@ -44,7 +45,12 @@ class ParseError(ValueError):
     """Raised on malformed JSON structure (missing keys, bad types, non-numbers)."""
 
 
-_PIECE_ITEMS = 4096  # list items encoded per piece of a streamed digest
+# List items per piece of a streamed digest, so that a 2^16-entry table is
+# hashed as 16 pieces of text, never as one string. Each piece is spelled by
+# json's C encoder or, when its finite floats repeat, from the text of its
+# distinct values (_items_text).
+_PIECE_ITEMS = 4096
+_SAMPLE_STRIDE = 16  # every 16th item of a piece is sampled to pick its encoder
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -52,8 +58,15 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def instance_digest(doc: dict) -> str:
-    """sha256 of canonical_dumps(doc): in one call when no list in it is longer
-    than _PIECE_ITEMS, else piece by piece."""
+    """sha256 of canonical_dumps(doc); that text defines the digest.
+
+    A document with no list longer than _PIECE_ITEMS is hashed in one call.
+    Otherwise its text is hashed piece by piece, each long list in pieces of
+    _PIECE_ITEMS items. A piece of finite floats that repeat (a hidden-shift
+    table has 12 distinct values in 65,536) costs one float-to-text
+    conversion per distinct value; any other piece goes through json's C
+    encoder. The bytes hashed are the same either way.
+    """
     if not _has_long_list(doc):
         return sha256(canonical_dumps(doc).encode()).hexdigest()
     digest = sha256()
@@ -75,7 +88,7 @@ def _canonical_pieces(obj: Any):
     """canonical_dumps(obj) in pieces, so that a 2^16-entry table is never one string."""
     if isinstance(obj, list) and len(obj) > _PIECE_ITEMS:
         for k in range(0, len(obj), _PIECE_ITEMS):
-            yield ("[" if k == 0 else ",") + canonical_dumps(obj[k:k + _PIECE_ITEMS])[1:-1]
+            yield ("[" if k == 0 else ",") + _items_text(obj[k:k + _PIECE_ITEMS])
         yield "]"
     elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         for k, key in enumerate(sorted(obj)):
@@ -84,6 +97,40 @@ def _canonical_pieces(obj: Any):
         yield "}"
     else:
         yield canonical_dumps(obj)
+
+
+def _items_text(items: list) -> str:
+    """canonical_dumps(items) without its brackets.
+
+    When every _SAMPLE_STRIDE-th item is a float and at most half of those
+    are distinct, the items are spelled from a memo of their distinct
+    values' text; an all-distinct piece pays only for the sample and keeps
+    json's C encoder.
+    """
+    sample = items[::_SAMPLE_STRIDE]
+    if set(map(type, sample)) == {float} and 2 * len(set(sample)) <= len(sample):
+        text = _float_texts(items)
+        if text is not None:
+            return ",".join(map(text.__getitem__, items))
+    return canonical_dumps(items)[1:-1]
+
+
+def _float_texts(items: list) -> dict | None:
+    """json's text of each distinct item, keyed by value; None unless every
+    item is exactly a finite float and all zeros share one sign.
+
+    The checks guard the value keys: 1, 1.0 and True are one key, as are
+    0.0 and -0.0, and json spells NaN and the infinities its own way.
+    """
+    if set(map(type, items)) != {float}:
+        return None
+    distinct = set(items)
+    if not all(map(math.isfinite, distinct)):
+        return None
+    if 0.0 in distinct and len(
+            {math.copysign(1.0, z) for z in filter((0.0).__eq__, items)}) > 1:
+        return None
+    return {value: float.__repr__(value) for value in distinct}
 
 
 def _require(doc: dict, key: str):
@@ -164,7 +211,7 @@ def cost_fn_to_json(fn: costfn.SetFunction, ids: list[ActionId]) -> dict:
     if isinstance(fn, costfn.ConcaveCardinality):
         return {"type": "concave_cardinality", "table": list(fn.g)}
     if isinstance(fn, costfn.ExplicitTable):
-        return {"type": "table", "values": list(fn.values)}
+        return {"type": "table", "values": fn.values.tolist()}
     if isinstance(fn, costfn.XOSClauses):
         return {"type": "xos", "clauses": [weights_doc(c) for c in fn.clauses]}
     from .families import VTCost

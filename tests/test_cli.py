@@ -428,6 +428,70 @@ class TestDetOracleGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == DET_ORACLE_SHA256[name, command]
 
 
+def _distinct_table13():
+    # 2^13 values, all distinct, v(empty) = -0.0: hashed in two pieces.
+    rng = random.Random(13)
+    vals = [-0.0] * (1 << 13)
+    for mask in range(1, 1 << 13):
+        vals[mask] = max(vals[mask & ~(1 << i)] for i in costfn.bits(mask)) \
+            + rng.uniform(1e-3, 0.1)
+    return random_instance(rng, 13, fn=costfn.ExplicitTable(vals))
+
+
+# sha256 of `solve --mode det|rand` stdout, and of `eval` of the rand
+# solve's scheme, recorded while a table's instance_digest still encoded
+# every entry: hashing a table at the cost of its distinct values must not
+# move a byte.
+STDOUT_INSTANCES = {
+    "intro": gen_intro_example,
+    "typed16": lambda: random_instance(random.Random(16), 16, fn_kind="sub"),
+    "table13": _distinct_table13,
+}
+STDOUT_SHA256 = {
+    ("intro", "det"):
+        "7f224db8aa2026f23174ad477f3602cecd94e740728fe4499db150ef12e8d508",
+    ("intro", "rand"):
+        "fcebfaba77803ed5c31c98fd56127b8d8bd5ff56d2c9a7d7cb61a470def1ed3f",
+    ("intro", "eval"):
+        "5bd959567c06c62a4359bb984f20a6b17bfadab39b3ef1628f4d377a4633f383",
+    ("typed16", "det"):
+        "c5aee73a5d1a0e024910a0049ef1763ea47215c45d66e3795ed8e558445124b0",
+    ("typed16", "rand"):
+        "cf454d66b4d76fcc8343b734ba697478cb98c90fbb7307723dbb4bb2245060e9",
+    ("typed16", "eval"):
+        "21e37a6bf571af5b0248cf02d2b7e1f05796d5656268b8d9a5f0b306d867fbc3",
+    ("table13", "det"):
+        "ecc605cea72a7991d0324c42db26d82fc82fc365a9a67ffa122ea4c274df8956",
+    ("table13", "rand"):
+        "e97d029b46d3724c006082d84ec73d6ec4ab50ba1eca4a1b768c63e92d991a32",
+    ("table13", "eval"):
+        "2437ace78af4d0d240ffb7054e3df44986bb73c75aff4d65fdb1d60a985a522e",
+    ("xos11", "det"):
+        "761ad6d8424dd624a501982498e81bfa34df711650725c04f2c78a4bdcb00977",
+}
+
+
+class TestStdoutGolden:
+    @pytest.mark.parametrize("name, command", sorted(STDOUT_SHA256))
+    def test_stdout_bytes(self, capsys, tmp_path, name, command):
+        path = tmp_path / f"{name}.json"
+        if name == "xos11":
+            assert main(["gen", "--family", "xos-hard", "--k", "11", "--seed", "0",
+                         "--out", str(path)]) == 0
+        else:
+            path.write_text(json.dumps(instance_to_json(STDOUT_INSTANCES[name]())))
+        if command == "eval":
+            assert main(["solve", "--mode", "rand", str(path)]) == 0
+            scheme = tmp_path / "scheme.json"
+            scheme.write_text(json.dumps(json.loads(capsys.readouterr().out)["scheme"]))
+            argv = ["eval", str(path), str(scheme)]
+        else:
+            argv = ["solve", "--mode", command, str(path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name, command]
+
+
 class TestConfigPrecedence:
     def test_env_tol_used_and_flag_wins(self, capsys, tmp_path, intro_file,
                                         monkeypatch):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icx import costfn, serialization
 from icx.families import HardParams, VTCost, gen_gap_instance, gen_intro_example
@@ -114,17 +117,56 @@ class TestDigest:
             expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
             assert instance_digest(doc) == expected
 
-    def test_small_documents_hashed_in_one_call(self, monkeypatch):
-        # A 2^16-entry table is still hashed in pieces of at most
-        # _PIECE_ITEMS items; a document with no such list in one call.
-        calls = []
-        dumps = serialization.canonical_dumps
+    def test_small_documents_hashed_in_one_call(self, monkeypatch, rng):
+        # A document with no list longer than _PIECE_ITEMS is encoded in one
+        # canonical_dumps call. A 2^16-entry table is hashed in pieces of at
+        # most _PIECE_ITEMS items: spelled from its distinct values when they
+        # repeat, by canonical_dumps when all are distinct.
+        calls, pieces = [], []
+        dumps, items_text = serialization.canonical_dumps, serialization._items_text
         monkeypatch.setattr(serialization, "canonical_dumps",
                             lambda obj: calls.append(obj) or dumps(obj))
+        monkeypatch.setattr(serialization, "_items_text",
+                            lambda items: pieces.append(len(items)) or items_text(items))
         doc = instance_to_json(gen_gap_instance(16))
         instance_digest(doc)
-        assert calls == [doc]
-        calls.clear()
-        instance_digest({"cost_fn": {"type": "table", "values": [0.5] * (1 << 16)}})
-        assert len(calls) > 16
-        assert max(len(c) for c in calls if isinstance(c, list)) == serialization._PIECE_ITEMS
+        assert calls == [doc] and pieces == []
+        repeated = [0.5] * (1 << 16)
+        distinct = [rng.random() for _ in range(1 << 16)]
+        for values, dumped in ((repeated, 0), (distinct, 16)):
+            calls.clear()
+            pieces.clear()
+            instance_digest({"cost_fn": {"type": "table", "values": values}})
+            assert pieces == [serialization._PIECE_ITEMS] * 16
+            assert sum(isinstance(c, list) for c in calls) == dumped
+
+    def test_float_texts_guards_value_keys(self):
+        texts = serialization._float_texts
+        assert texts([0.5, -0.0, 0.5, -0.0]) == {0.5: "0.5", 0.0: "-0.0"}
+        assert texts([0.0, 0.25] * 8) == {0.0: "0.0", 0.25: "0.25"}
+        assert texts([0.0, -0.0, 0.5]) is None
+        for odd in (1, True, float("nan"), float("inf"), -float("inf"), "1.0", None):
+            assert texts([1.0] * 8 + [odd]) is None
+
+
+# Palettes of floats repeat, so pieces take the memo path; the odd items
+# land anywhere, sampled or not, so each guard of that path is exercised.
+_FLOATS = [0.0, -0.0, 1.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+           float("nan"), float("inf"), -float("inf"), 1e300, 0.1]
+_ODD = [0.0, -0.0, 1, True, False, 0, float("nan"), float("inf"), None, "1.0"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(palette=st.lists(st.one_of(st.floats(), st.sampled_from(_FLOATS)),
+                        min_size=1, max_size=12),
+       odd=st.lists(st.sampled_from(_ODD), max_size=3),
+       length=st.sampled_from([4095, 4096, 4097, 3 * 4096 + 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_digest_of_long_lists_is_sha256_of_canonical_text(palette, odd, length, seed):
+    rng = random.Random(seed)
+    values = [rng.choice(palette) for _ in range(length)]
+    for item in odd:
+        values[rng.randrange(length)] = item
+    for doc in ({"cost_fn": {"type": "table", "values": values}}, {"a": values, "b": [values]}):
+        expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+        assert instance_digest(doc) == expected
