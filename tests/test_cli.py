@@ -470,6 +470,51 @@ STDOUT_SHA256 = {
         "761ad6d8424dd624a501982498e81bfa34df711650725c04f2c78a4bdcb00977",
 }
 
+# sha256 of every other command's output, recorded while _emit still wrote
+# each document through json.dump: writing small documents through json's
+# C encoder must not move a byte. "sub6" is a random submodular instance
+# with ties; "solve-det-out" hashes the --out file.
+COMMAND_ARGV = {
+    "compare-det": ["compare", "--mode", "det", "{sub6}"],
+    "compare-rand": ["compare", "--mode", "rand", "{sub6}"],
+    "brute-force-det": ["brute-force", "--mode", "det", "{sub6}"],
+    "brute-force-rand": ["brute-force", "--mode", "rand", "{sub6}"],
+    "check-costfn-none": ["check-costfn", "{intro}"],
+    "check-costfn-witness": ["check-costfn", "{hard7}"],
+    "gen-intro": ["gen", "--family", "intro"],
+    "gen-gap": ["gen", "--family", "gap", "--n", "12"],
+    "gen-nonic": ["gen", "--family", "nonic"],
+    "query-experiment-k7": ["query-experiment", "--k", "7"],
+    "eval-nonic": ["eval", "{nonic}", "{nonic_scheme}"],
+    "solve-det-out": ["solve", "--mode", "det", "{intro}", "--out", "{out}"],
+}
+COMMAND_SHA256 = {
+    "brute-force-det":
+        "3fc2056f4830940ea0caf516c79d2673ee454c8949169ab0be5fb846d9a81e74",
+    "brute-force-rand":
+        "d9661e22bb915dd19273e09f1c6d8016371b18c095d3d79c1e3285d8928e4c09",
+    "check-costfn-none":
+        "d507fa6cf478c5fd0805effc753296e1a05afd5f31ab37ffd08339b7ec63c58f",
+    "check-costfn-witness":
+        "b1860f959862bfcc19f55bd1a3121bd98c734a94c44bc12eaeac39d137250ff6",
+    "compare-det":
+        "4696f54508c3fab61f04a268fc33d3900fe3caddddcebbcfe811d94eb147f516",
+    "compare-rand":
+        "1ef19d5ecd25da4c93f3ab8ce4d08183387f3d149c997898f675791a80dc5735",
+    "eval-nonic":
+        "f6f972ef0b9ba102e55634172a181fd6553a9b695bff94aaa11ff2e83c56d5ef",
+    "gen-gap":
+        "f53f87eb8e06ab5130ab5c80e3d4a19cf53efab0bd3a7f91979c3d51517627d3",
+    "gen-intro":
+        "946eb8969df053ac50f7400d2d815de43106147bece790c1acf8757f0ffd4c15",
+    "gen-nonic":
+        "e62ad3993c2f29b1b4cfdf2c30b8838b2c4729c7af117c8d3e6638e1d72e0114",
+    "query-experiment-k7":
+        "79a5e845684233e50f3d25d51a351a636aa79a679eff603d07ebafaff96daf14",
+    "solve-det-out":
+        "7f224db8aa2026f23174ad477f3602cecd94e740728fe4499db150ef12e8d508",
+}
+
 
 class TestStdoutGolden:
     @pytest.mark.parametrize("name, command", sorted(STDOUT_SHA256))
@@ -490,6 +535,25 @@ class TestStdoutGolden:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name, command]
+
+    @pytest.mark.parametrize("case", sorted(COMMAND_SHA256))
+    def test_command_bytes(self, capsys, tmp_path, case):
+        inst, scheme, _ = gen_nonic_example()
+        files = {name: tmp_path / f"{name}.json" for name in
+                 ("intro", "sub6", "nonic", "nonic_scheme", "hard7", "out")}
+        files["intro"].write_text(json.dumps(instance_to_json(gen_intro_example())))
+        files["sub6"].write_text(json.dumps(instance_to_json(
+            random_instance(random.Random(6), 6, fn_kind="sub"))))
+        files["nonic"].write_text(json.dumps(instance_to_json(inst)))
+        files["nonic_scheme"].write_text(json.dumps(scheme_to_json(scheme)))
+        assert main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "2",
+                     "--out", str(files["hard7"])]) == 0
+        argv = [arg.format(**files) for arg in COMMAND_ARGV[case]]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        data = files["out"].read_bytes() if "--out" in argv else out.encode()
+        assert hashlib.sha256(data).hexdigest() == COMMAND_SHA256[case]
 
 
 class TestConfigPrecedence:
