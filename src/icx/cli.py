@@ -45,10 +45,20 @@ def _tol(args) -> float:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    # Streamed chunk by chunk: a 2^16-entry table never exists as one string.
+    """Write json.dump(doc, indent=2, sort_keys=True) and a newline.
+
+    Those are the bytes whichever way they are made: in one write from
+    serialization.indented_dumps, or, where it returns None (a list longer
+    than 4,096 items, say), streamed chunk by chunk by json.dump, so that a
+    2^16-entry table never exists as one string.
+    """
+    text = serialization.indented_dumps(doc)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if text is None:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            fh.write(text + "\n")
 
 
 def cmd_solve(args) -> int:

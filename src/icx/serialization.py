@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 # CPython's built-in sha256 gives the same digest as hashlib's without
@@ -48,7 +49,8 @@ class ParseError(ValueError):
 # List items per piece of a streamed digest, so that a 2^16-entry table is
 # hashed as 16 pieces of text, never as one string. Each piece is spelled by
 # json's C encoder or, when its finite floats repeat, from the text of its
-# distinct values (_items_text).
+# distinct values (_items_text). Also the longest list indented_dumps
+# writes: a document with a longer one is streamed by json.dump.
 _PIECE_ITEMS = 4096
 _SAMPLE_STRIDE = 16  # every 16th item of a piece is sampled to pick its encoder
 
@@ -131,6 +133,103 @@ def _float_texts(items: list) -> dict | None:
             {math.copysign(1.0, z) for z in filter((0.0).__eq__, items)}) > 1:
         return None
     return {value: float.__repr__(value) for value in distinct}
+
+
+_INDENT = "  "
+# The scalar types, exact, that indented_dumps spells itself (a float only
+# when finite) and whose containers it hands whole to the C encoder.
+_SPELL = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+          bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+_SCALARS = frozenset(_SPELL)
+
+
+class _NeedsJsonDump(Exception):
+    """The document holds something indented_dumps leaves to json.dump."""
+
+
+class _Levels(dict):
+    """depth -> (json's C encoder whose item separator carries the indent of
+    items at that depth, that separator, the newline and indent before such
+    an item); built on first use."""
+
+    def __missing__(self, depth: int) -> tuple[Any, str, str]:
+        pad = "\n" + _INDENT * depth
+        self[depth] = (json.encoder.c_make_encoder(
+            None, _not_json, encode_basestring_ascii, None, ": ", "," + pad,
+            True, False, True), "," + pad, pad)
+        return self[depth]
+
+
+_levels = _Levels()
+
+
+def _not_json(obj: Any):
+    raise _NeedsJsonDump
+
+
+def indented_dumps(doc: Any) -> str | None:
+    """Exactly json.dumps(doc, indent=2, sort_keys=True), or None.
+
+    A container whose items are all of exact type str, int, float, bool or
+    None is spelled by json's C encoder, whose separators carry the indent
+    of its depth; other containers are laid out here, with str keys, exact
+    scalars and finite floats spelled directly and anything else by the C
+    encoder. None means json.dump must write the document: it holds a list
+    longer than _PIECE_ITEMS items (json.dump streams its text), a key that
+    is not exactly str or a value that is not JSON, or the C encoder is
+    missing.
+    """
+    if json.encoder.c_make_encoder is None:
+        return None
+    try:
+        return _text(doc, 0)
+    except (_NeedsJsonDump, RecursionError):  # json.dump reports a circular document
+        return None
+
+
+def _text(obj: Any, depth: int) -> str:
+    """The text of obj, a value at indent depth `depth`."""
+    spell = _SPELL.get(type(obj))
+    if spell is not None and (spell is not float.__repr__ or math.isfinite(obj)):
+        return spell(obj)
+    if isinstance(obj, dict):
+        return _dict_text(obj, depth)
+    if isinstance(obj, (list, tuple)):
+        return _list_text(obj, depth)
+    # NaN, the infinities and scalar subclasses; _not_json refuses the rest.
+    return "".join(_levels[depth][0](obj, 0))
+
+
+def _dict_text(obj: dict, depth: int) -> str:
+    if not obj:
+        return "{}"
+    if set(map(type, obj)) != {str}:
+        raise _NeedsJsonDump
+    encoder, sep, pad = _levels[depth + 1]
+    if _SCALARS.issuperset(map(type, obj.values())):
+        return "{" + pad + "".join(encoder(obj, 0))[1:-1] + _levels[depth][2] + "}"
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        spell = _SPELL.get(type(value))  # scalars inline: a call each is measurable
+        if spell is not None and (spell is not float.__repr__ or math.isfinite(value)):
+            items.append(encode_basestring_ascii(key) + ": " + spell(value))
+        else:
+            items.append(encode_basestring_ascii(key) + ": " + _text(value, depth + 1))
+    return "{" + pad + sep.join(items) + _levels[depth][2] + "}"
+
+
+def _list_text(obj: list | tuple, depth: int) -> str:
+    if not obj:
+        return "[]"
+    if len(obj) > _PIECE_ITEMS:
+        raise _NeedsJsonDump
+    encoder, sep, pad = _levels[depth + 1]
+    if _SCALARS.issuperset(map(type, obj)):
+        body = "".join(encoder(obj, 0))[1:-1]
+    else:
+        body = sep.join([_text(item, depth + 1) for item in obj])
+    return "[" + pad + body + _levels[depth][2] + "]"
 
 
 def _require(doc: dict, key: str):
@@ -266,19 +365,21 @@ def scheme_to_json(scheme: InspectionScheme) -> dict:
     }
 
 
+def _read_json(path: str) -> Any:
+    """The JSON document in the file at path; ParseError when the file cannot
+    be opened (missing, a directory, unreadable), decoded or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except OSError as exc:  # its text names the path
+        raise ParseError(str(exc)) from exc
+
+
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return instance_from_json(doc)
+    return instance_from_json(_read_json(path))
 
 
 def load_scheme(path: str) -> InspectionScheme:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return scheme_from_json(doc)
+    return scheme_from_json(_read_json(path))

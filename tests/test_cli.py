@@ -1,15 +1,21 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from icx import cli, costfn
+from icx import cli, costfn, serialization
 from icx.cli import main
 from icx.families import gen_gap_instance, gen_intro_example, gen_nonic_example
 from icx.model import deterministic_scheme
 from icx.serialization import instance_to_json, scheme_to_json
 from conftest import random_instance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -178,6 +184,25 @@ class TestSolve:
         out = tmp_path / "report.json"
         assert main(["solve", "--mode", "det", intro_file, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["mode"] == "det"
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_parse_error_exit_2(self, capsys, tmp_path, intro_file, command, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{}")
+        # eval reads the instance first, so its scheme file is the bad one.
+        argv = (["solve", "--mode", "det", str(bad)] if command == "solve"
+                else ["eval", intro_file, str(bad)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and str(bad) in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestEval:
@@ -538,22 +563,56 @@ class TestStdoutGolden:
 
     @pytest.mark.parametrize("case", sorted(COMMAND_SHA256))
     def test_command_bytes(self, capsys, tmp_path, case):
-        inst, scheme, _ = gen_nonic_example()
-        files = {name: tmp_path / f"{name}.json" for name in
-                 ("intro", "sub6", "nonic", "nonic_scheme", "hard7", "out")}
-        files["intro"].write_text(json.dumps(instance_to_json(gen_intro_example())))
-        files["sub6"].write_text(json.dumps(instance_to_json(
-            random_instance(random.Random(6), 6, fn_kind="sub"))))
-        files["nonic"].write_text(json.dumps(instance_to_json(inst)))
-        files["nonic_scheme"].write_text(json.dumps(scheme_to_json(scheme)))
-        assert main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "2",
-                     "--out", str(files["hard7"])]) == 0
-        argv = [arg.format(**files) for arg in COMMAND_ARGV[case]]
-        capsys.readouterr()
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        data = files["out"].read_bytes() if "--out" in argv else out.encode()
+        data = _command_output(capsys, tmp_path, case)
         assert hashlib.sha256(data).hexdigest() == COMMAND_SHA256[case]
+
+    @pytest.mark.parametrize("case", ["eval-nonic", "gen-nonic", "solve-det-out"])
+    def test_command_bytes_without_c_encoder(self, capsys, tmp_path, monkeypatch, case):
+        # Where json has no C encoder, _emit falls back to json.dump: same bytes.
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert serialization.indented_dumps({"a": [1]}) is None
+        data = _command_output(capsys, tmp_path, case)
+        assert hashlib.sha256(data).hexdigest() == COMMAND_SHA256[case]
+
+
+def _command_output(capsys, tmp_path, case) -> bytes:
+    """The bytes COMMAND_ARGV[case] writes to stdout, or to its --out file."""
+    inst, scheme, _ = gen_nonic_example()
+    files = {name: tmp_path / f"{name}.json" for name in
+             ("intro", "sub6", "nonic", "nonic_scheme", "hard7", "out")}
+    files["intro"].write_text(json.dumps(instance_to_json(gen_intro_example())))
+    files["sub6"].write_text(json.dumps(instance_to_json(
+        random_instance(random.Random(6), 6, fn_kind="sub"))))
+    files["nonic"].write_text(json.dumps(instance_to_json(inst)))
+    files["nonic_scheme"].write_text(json.dumps(scheme_to_json(scheme)))
+    assert main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "2",
+                 "--out", str(files["hard7"])]) == 0
+    argv = [arg.format(**files) for arg in COMMAND_ARGV[case]]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return files["out"].read_bytes() if "--out" in argv else out.encode()
+
+
+class TestRealStdout:
+    @pytest.mark.parametrize("command", ["det", "rand", "eval"])
+    def test_subprocess_bytes_match_in_process(self, capsys, tmp_path, intro_file, command):
+        # A child process writes to a real TextIOWrapper stdout, not capsys.
+        if command == "eval":
+            assert main(["solve", "--mode", "rand", intro_file]) == 0
+            scheme = tmp_path / "scheme.json"
+            scheme.write_text(json.dumps(json.loads(capsys.readouterr().out)["scheme"]))
+            argv = ["eval", intro_file, str(scheme)]
+        else:
+            argv = ["solve", "--mode", command, intro_file]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "icx.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
 
 
 class TestConfigPrecedence:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,86 @@ def test_digest_of_long_lists_is_sha256_of_canonical_text(palette, odd, length, 
     for doc in ({"cost_fn": {"type": "table", "values": values}}, {"a": values, "b": [values]}):
         expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
         assert instance_digest(doc) == expected
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**53 + 1, -(2**63), True, False, 0, 1]),
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, 2**53 + 1.0, float("nan"),
+                                  float("inf"), -float("inf")]),
+    st.text(), st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", " ",
+                                "é", "\U0001f600", "\ud800", "}, {"]),
+    st.builds(_Float, st.floats()), st.builds(_Int, st.integers()))
+_KEY = st.one_of(st.text(max_size=8), st.text(max_size=8), st.integers(), st.floats(),
+                 st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=6),
+                     st.lists(children, max_size=6).map(tuple),
+                     st.dictionaries(_KEY, children, max_size=6))
+
+
+def _nested5(value):
+    """value inside five containers: list, dict, tuple, dict, list."""
+    for wrap in (lambda v: [v], lambda v: {"k": v}, lambda v: (v,),
+                 lambda v: {"": v, "a": [v]}, lambda v: [v, 1]):
+        value = wrap(value)
+    return value
+
+
+# Lists at the long-list boundary, made from a few drawn scalars repeated.
+_EDGE_LIST = st.tuples(st.sampled_from([4096, 4097]),
+                       st.lists(_SCALAR, min_size=1, max_size=3)).map(
+    lambda t: (t[1] * t[0])[:t[0]])
+_DOC = st.one_of(
+    st.recursive(_SCALAR, _containers, max_leaves=40),
+    st.recursive(_SCALAR, _containers, max_leaves=8).map(_nested5),
+    st.dictionaries(st.text(max_size=4), st.one_of(_EDGE_LIST, _SCALAR), max_size=3),
+    _EDGE_LIST)
+
+
+def _writable(doc) -> bool:
+    """No dict key other than an exact str and no list longer than 4,096 items."""
+    if isinstance(doc, dict):
+        return all(type(key) is str for key in doc) and all(map(_writable, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return len(doc) <= serialization._PIECE_ITEMS and all(map(_writable, doc))
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_DOC)
+def test_indented_dumps_is_json_dumps_with_indent(doc):
+    text = serialization.indented_dumps(doc)
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+    except (TypeError, ValueError):  # keys of mixed types cannot be sorted
+        expected = None
+    if not _writable(doc):
+        assert text is None
+    elif text != expected:  # a plain assert would have pytest diff texts of 40 kB for minutes
+        text = text or ""
+        at = next(i for i, (a, b) in enumerate(zip_longest(text, expected)) if a != b)
+        lo = max(at - 40, 0)
+        pytest.fail(f"differs from json.dumps at offset {at}: "
+                    f"{text[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
+
+
+def test_indented_dumps_refuses_what_json_dump_must_write():
+    assert serialization.indented_dumps([0.5] * 4096) is not None
+    assert serialization.indented_dumps({"a": [[0.5] * 4097]}) is None
+    assert serialization.indented_dumps({"a": {1: 2}}) is None
+    assert serialization.indented_dumps({"a": [{1, 2}]}) is None
+    assert serialization.indented_dumps({"a": object()}) is None
+    loop = []
+    loop.append(loop)
+    assert serialization.indented_dumps(loop) is None
