@@ -2,7 +2,7 @@
 
 Commands: solve, eval, compare, brute-force, check-costfn, gen,
 query-experiment.  All emit JSON on stdout (or --out FILE).  Exit codes:
-0 success, 2 parse error, 3 validation failure, 4 cost-class check failure
+0 success, 2 parse or output error, 3 validation failure, 4 cost-class check failure
 in rand mode, 5 oracle size limit exceeded.
 
 Config precedence: flags > environment (ICX_TOL) > defaults.
@@ -44,21 +44,29 @@ def _tol(args) -> float:
     return check_tolerance(tol)
 
 
+class OutputError(Exception):
+    """An output file could not be opened or written."""
+
+
 def _emit(doc: dict, out: str | None) -> None:
     """Write json.dump(doc, indent=2, sort_keys=True) and a newline.
 
     Those are the bytes whichever way they are made: in one write from
     serialization.indented_dumps, or, where it returns None (a list longer
     than 4,096 items, say), streamed chunk by chunk by json.dump, so that a
-    2^16-entry table never exists as one string.
+    2^16-entry table never exists as one string.  An OSError from opening
+    or writing the output raises OutputError.
     """
     text = serialization.indented_dumps(doc)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        if text is None:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(text + "\n")
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            if text is None:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            else:
+                fh.write(text + "\n")
+    except OSError as exc:  # its text names the path
+        raise OutputError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:
@@ -304,8 +312,8 @@ def main(argv=None) -> int:
     except serialization.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except randomized.SubmodularityError as exc:
         print(f"cost-class check failed: {exc}", file=sys.stderr)

@@ -279,21 +279,20 @@ class ExplicitTable(SetFunction):
 
     values: _Doubles
 
-    def __init__(self, values: Sequence[float], validate: bool = True):
+    def __init__(self, values: Sequence[float]):
         vt = [float(x) for x in values]
         n = (len(vt)).bit_length() - 1
         if len(vt) != (1 << n):
             raise ValueError("table length must be a power of two")
-        if validate:
-            # Scanned as float objects: iterating an array would box each one.
-            if not all(map(math.isfinite, vt)):
-                raise ValueError("table values must be finite")
-            if vt[0] != 0.0:
-                raise ValueError("table not normalized: v(empty) != 0")
-            witness = _monotone_violation(vt, n)
-            if witness is not None:
-                mask, i = witness
-                raise ValueError(f"table not monotone at S={mask:b}, element {i}")
+        # Scanned as float objects: iterating an array would box each one.
+        if not all(map(math.isfinite, vt)):
+            raise ValueError("table values must be finite")
+        if vt[0] != 0.0:
+            raise ValueError("table not normalized: v(empty) != 0")
+        witness = _monotone_violation(vt, n)
+        if witness is not None:
+            mask, i = witness
+            raise ValueError(f"table not monotone at S={mask:b}, element {i}")
         object.__setattr__(self, "values", _Doubles("d", vt))
 
     @property

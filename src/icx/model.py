@@ -27,54 +27,31 @@ DEFAULT_TOL = 1e-9
 ActionId = str
 
 
-# The distribution of a scheme that never inspects: the most common optimum,
-# so every scheme equal to it shares this one copy (144 bytes apiece).
-_INSPECT_NOTHING = ((frozenset(), 1.0),)
-
-
 class ValidationError(ValueError):
     """Raised when an instance or scheme violates its structural invariants."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class Action:
-    """One of the agent's actions: an id, a cost and a success probability.
+    """One of the agent's actions: an id, a cost and a success probability."""
 
-    Cost and probability are held as the real and imaginary parts of one
-    complex number, which takes 48 bytes less than two float objects and
-    gives both back exactly.  Generated families and batch runs hold
-    thousands of actions.
-    """
-
-    __slots__ = ("id", "_cost_prob")
     id: ActionId
-    _cost_prob: complex
+    cost: float
+    prob: float
 
-    def __init__(self, id: ActionId, cost: float, prob: float):
-        if not math.isfinite(cost):
-            raise ValidationError(f"action {id!r}: cost must be finite")
-        if cost < 0:
-            raise ValidationError(f"action {id!r}: cost must be nonnegative")
-        if not 0.0 <= prob <= 1.0:
-            raise ValidationError(f"action {id!r}: prob must be in [0, 1]")
+    def __post_init__(self):
+        if not math.isfinite(self.cost):
+            raise ValidationError(f"action {self.id!r}: cost must be finite")
+        if self.cost < 0:
+            raise ValidationError(f"action {self.id!r}: cost must be nonnegative")
+        if not 0.0 <= self.prob <= 1.0:
+            raise ValidationError(f"action {self.id!r}: prob must be in [0, 1]")
         # Ids are names shared by every instance that uses them; interning
         # keeps one string per name however many actions carry it.
-        object.__setattr__(self, "id", sys.intern(id) if type(id) is str else id)
-        object.__setattr__(self, "_cost_prob", complex(cost, prob))
-
-    @property
-    def cost(self) -> float:
-        return self._cost_prob.real
-
-    @property
-    def prob(self) -> float:
-        return self._cost_prob.imag
-
-    def __repr__(self) -> str:
-        return f"Action(id={self.id!r}, cost={self.cost!r}, prob={self.prob!r})"
-
-    def __reduce__(self):
-        return Action, (self.id, self.cost, self.prob)
+        if type(self.id) is str:
+            object.__setattr__(self, "id", sys.intern(self.id))
+        object.__setattr__(self, "cost", float(self.cost))
+        object.__setattr__(self, "prob", float(self.prob))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,8 +152,6 @@ class InspectionScheme:
         if abs(total - 1.0) > EQ_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
         dist = tuple((s, max(0.0, p)) for s, p in dist)
-        if dist == _INSPECT_NOTHING:
-            dist = _INSPECT_NOTHING
         object.__setattr__(self, "suggested", suggested)
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "distribution", dist)

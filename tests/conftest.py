@@ -18,6 +18,15 @@ class Squared(costfn.Additive):
         return super().value(mask) ** 2
 
 
+def unchecked_table(values):
+    """An `ExplicitTable` holding values its constructor refuses (a table
+    that is not monotone, say), so the cost-class checks, which read it
+    through `table()`, can be shown one to reject."""
+    fn = object.__new__(costfn.ExplicitTable)
+    object.__setattr__(fn, "values", costfn._Doubles("d", map(float, values)))
+    return fn
+
+
 def random_monotone_table(rng: random.Random, n: int, scale: float = 1.0):
     """Random normalized monotone table: each set gets the max of its
     one-smaller subsets plus a (often zero) nonnegative bump."""

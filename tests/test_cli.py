@@ -205,6 +205,31 @@ class TestUnreadableInput:
         assert captured.err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, target", [
+        ("solve", "directory"), ("solve", "missing-parent"),
+        ("gen-xos-hard", "directory"), ("gen-xos-hard", "missing-parent"),
+        ("gen-xos-hard", "sidecar")])
+    def test_output_error_exit_2(self, capsys, tmp_path, intro_file, command, target):
+        out = tmp_path / "out.json"
+        if target == "directory":
+            out.mkdir()
+            bad = out
+        elif target == "missing-parent":
+            out = bad = tmp_path / "missing" / "out.json"
+        else:
+            bad = tmp_path / "out.json.T.json"
+            bad.mkdir()
+        argv = (["solve", "--mode", "det", intro_file, "--out", str(out)]
+                if command == "solve"
+                else ["gen", "--family", "xos-hard", "--out", str(out)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ") and str(bad) in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestEval:
     def test_nonic_scheme_report(self, capsys, tmp_path):
         inst, scheme, refs = gen_nonic_example()

@@ -13,7 +13,8 @@ from icx.costfn import (Additive, BudgetAdditive, ConcaveCardinality,
 from icx.families import VTCost, random_hard_params
 from icx.model import Action, Instance
 from icx.serialization import instance_digest, instance_to_json
-from conftest import Squared, random_monotone_table, random_submodular_fn
+from conftest import (Squared, random_monotone_table, random_submodular_fn,
+                      unchecked_table)
 
 
 class TestConstructors:
@@ -119,7 +120,7 @@ class TestCheckers:
         assert check_submodular(fn, 3)[0]
 
     def test_violation_witness(self):
-        fn = ExplicitTable([0.0, 2.0, 0.5, 1.0], validate=False)
+        fn = unchecked_table([0.0, 2.0, 0.5, 1.0])
         ok, witness = check_monotone(fn, 2)
         assert not ok
         mask, elem = witness
@@ -127,7 +128,7 @@ class TestCheckers:
 
     def test_submodular_witness_is_valid(self):
         # Coverage with complementary-looking table: build a supermodular one.
-        fn = ExplicitTable([0.0, 0.0, 0.0, 1.0], validate=False)
+        fn = ExplicitTable([0.0, 0.0, 0.0, 1.0])
         ok, witness = check_submodular(fn, 2)
         assert not ok
         mask, i, j = witness
@@ -393,7 +394,7 @@ class TestTables:
             source = (random_submodular_fn(rng, n) if trial % 2
                       else random_monotone_table(rng, n))
             vals = _corrupt(rng, source.table(), n)
-            fn = ExplicitTable(vals, validate=False)
+            fn = unchecked_table(vals)
             mono = _reference_monotone(vals, n)
             sub = _reference_submodular(vals, n)
             assert check_monotone(fn, n) == mono
@@ -412,20 +413,52 @@ class TestTables:
         # v({0}) - v({}) may undercut by EQ_TOL itself, not by one ulp more.
         at = -costfn.EQ_TOL
         below = math.nextafter(at, -math.inf)
-        assert check_monotone(ExplicitTable([0.0, at], validate=False), 1) == (True, None)
-        assert check_monotone(ExplicitTable([0.0, below], validate=False), 1) == \
+        assert check_monotone(ExplicitTable([0.0, at]), 1) == (True, None)
+        assert check_monotone(unchecked_table([0.0, below]), 1) == \
             (False, (0, 0))
         # Gain of 0 grows from 0 to EQ_TOL (allowed), then one ulp further.
         ok = [0.0, 0.0, 0.5, 0.5 + costfn.EQ_TOL]
-        assert check_submodular(ExplicitTable(ok, validate=False), 2) == (True, None)
+        assert check_submodular(ExplicitTable(ok), 2) == (True, None)
         bad = ok[:3] + [math.nextafter(ok[3], math.inf)]
-        assert check_submodular(ExplicitTable(bad, validate=False), 2) == \
+        assert check_submodular(ExplicitTable(bad), 2) == \
             (False, (0, 0, 1))
 
     def test_n_below_fn_n_checks_the_prefix(self, rng):
         for _ in range(30):
             vals = _corrupt(rng, random_monotone_table(rng, 6).table(), 6)
-            fn = ExplicitTable(vals, validate=False)
+            fn = unchecked_table(vals)
             for n in range(6):
                 assert check_monotone(fn, n) == _reference_monotone(vals[:1 << n], n)
                 assert check_submodular(fn, n) == _reference_submodular(vals[:1 << n], n)
+
+
+class TestRejectPaths:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BudgetAdditive([0.5, 0.5], -1.0), "cap must be nonnegative"),
+        (lambda: WeightedCoverage(2, [1, 2], [0.5]),
+         "element_weights length must equal universe size"),
+        (lambda: WeightedCoverage(2, [1, 4], [0.5, 0.5]),
+         "cover masks out of range for universe"),
+        (lambda: WeightedCoverage(2, [-1, 1], [0.5, 0.5]),
+         "cover masks out of range for universe"),
+        (lambda: ConcaveCardinality([0.0, 0.5, 0.4]),
+         "cardinality table must be nondecreasing"),
+        (lambda: ExplicitTable([0.0, 0.1, 0.2]), "table length must be a power of two"),
+        (lambda: XOSClauses([]), "XOS needs at least one clause"),
+        (lambda: XOSClauses([[0.1], [0.1, 0.2]]), "all clauses must have the same length"),
+        (lambda: check_monotone(Additive([0.1, 0.2]), 2, mode="bogus"),
+         "unknown mode 'bogus'"),
+        (lambda: check_submodular(Additive([0.1, 0.2]), 2, mode="bogus"),
+         "unknown mode 'bogus'"),
+    ], ids=["negative-cap", "coverage-weights-length", "cover-too-high",
+            "cover-negative", "decreasing-cardinality", "table-length", "xos-empty",
+            "xos-ragged", "monotone-mode", "submodular-mode"])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_sampled_monotone_witness(self):
+        # Adding element 1 to {0} drops the value from 2.0 to 1.0; no other
+        # single-element extension decreases it.
+        fn = unchecked_table([0.0, 2.0, 0.5, 1.0])
+        assert check_monotone(fn, 2, mode="sampled", seed=0) == (False, (1, 1))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from icx import costfn
@@ -284,3 +286,20 @@ class TestSmallExamples:
         inst = gen_intro_example()
         assert inst.f("g") == 1.0 and inst.c("g") == 0.35
         assert inst.inspection_cost(["bot", "b"]) == 2.0
+
+
+class TestRejectPaths:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HardParams(7, frozenset(range(1, 8)), 7),
+         "m override must lie strictly between 0 and k"),
+        (lambda: HardParams(7, frozenset(), 0),
+         "m override must lie strictly between 0 and k"),
+        (lambda: HardParams(7, frozenset([0, 1, 2, 3, 4, 5])),
+         "T must be a subset of {1, ..., k}"),
+        (lambda: HardParams(7, frozenset([1, 2, 3, 4, 5, 8])),
+         "T must be a subset of {1, ..., k}"),
+        (lambda: query_experiment(7, trials=0, seed=0), "need at least one trial"),
+    ], ids=["m-equals-k", "m-zero", "T-has-0", "T-above-k", "no-trials"])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

@@ -39,8 +39,8 @@ class TestValidation:
         assert a == Action("a7", 0.1, 0.5)
 
     def test_action_values_read_back_exactly(self):
-        # Cost and probability share one complex number; both come back as
-        # the floats given, and the action stays immutable and picklable.
+        # Cost and probability come back as the floats given (a -0.0 cost
+        # keeps its sign), and the action stays immutable and picklable.
         a = Action("a", 0.1 + 0.2, 1 / 3)
         assert (a.cost, a.prob) == (0.1 + 0.2, 1 / 3)
         assert math.copysign(1.0, Action("a", -0.0, 0.5).cost) == -1.0
@@ -48,6 +48,22 @@ class TestValidation:
         assert hash(a) == hash(Action("a", 0.1 + 0.2, 1 / 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.cost = 0.5
+
+    def test_int_inputs_read_back_as_floats(self):
+        a = Action("a", 0, 1)
+        assert (type(a.cost), type(a.prob)) == (float, float)
+        assert (a.cost, a.prob) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("actions, cost_fn, message", [
+        ((), costfn.Additive([]), "instance needs at least one action"),
+        (tuple(Action(f"a{k}", 0.0, 0.5) for k in range(31)),
+         costfn.Additive([0.0] * 31), "at most 30 actions supported"),
+        ((Action("a0", 0.0, 0.5),), costfn.Additive([0.0, 0.0]),
+         "cost function ground-set size != number of actions"),
+    ], ids=["empty", "31-actions", "wrong-ground-set"])
+    def test_instance_rejects(self, actions, cost_fn, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Instance(actions, "a0", cost_fn)
 
     def test_instance_id_lookups(self):
         inst = gen_intro_example()

@@ -677,3 +677,13 @@ def grid_instance(draw):
 def test_deterministic_exact_ties_match_reference(inst):
     assert (_answer(brute_force_deterministic(inst))
             == _answer(_ref_brute_force_deterministic(inst)))
+
+
+class TestRejectPaths:
+    @pytest.mark.parametrize("g", [11, 16])
+    def test_coupling_lp_ground_limit(self, g):
+        ground = list(range(g))
+        with pytest.raises(ValidationError,
+                           match=r"^coupling LP limited to \|ground\| <= 10$"):
+            lp_min_cost_given_marginals(ground, {e: 0.5 for e in ground}, 1.0,
+                                        lambda s: 0.0)

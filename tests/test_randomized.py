@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -303,7 +304,7 @@ class TestSolveRandomized:
         assert report.payment == 0.0
 
     def test_rejects_non_submodular(self):
-        fn = costfn.ExplicitTable([0.0, 0.0, 0.0, 1.0], validate=False)
+        fn = costfn.ExplicitTable([0.0, 0.0, 0.0, 1.0])
         inst = Instance((Action("bot", 0.0, 0.1), Action("a", 0.2, 0.8)), "bot", fn)
         with pytest.raises(SubmodularityError):
             solve_randomized(inst)
@@ -635,3 +636,11 @@ def test_nested_mass_feasibility_property(g, margs, slack):
     assert abs(nd.total_mass() - mass) <= 1e-12
     assert all(p >= 0 for _, p in nd.levels)
     assert nd.empty_mass >= 0.0
+
+
+class TestRejectPaths:
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_nested_marginal_outside_unit_interval(self, q):
+        message = f"marginal of 'a' is {q}, outside [0, 1]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            nested_min_cost_distribution(["a", "b"], {"a": q, "b": 0.5}, 1.0)

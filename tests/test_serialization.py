@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from icx import costfn, serialization
 from icx.families import HardParams, VTCost, gen_gap_instance, gen_intro_example
 from icx.model import InspectionScheme
+from icx.reports import compute_digest
 from icx.serialization import (ParseError, canonical_dumps, instance_digest,
                                instance_from_json, instance_to_json,
                                scheme_from_json, scheme_to_json)
@@ -254,3 +255,27 @@ def test_indented_dumps_refuses_what_json_dump_must_write():
     loop = []
     loop.append(loop)
     assert serialization.indented_dumps(loop) is None
+
+
+class _Opaque(costfn.SetFunction):
+    """A cost type with no JSON form."""
+
+    n = 3
+
+    def value(self, mask):
+        return float(mask.bit_count())
+
+
+class TestRejectPaths:
+    @pytest.mark.parametrize("length", [0, 2, 4, 7, 16])
+    def test_table_length_must_match_action_count(self, length):
+        doc = instance_to_json(gen_intro_example())
+        doc["cost_fn"] = {"type": "table", "values": [0.0] * length}
+        with pytest.raises(ParseError, match="^table length must be 2\\^n for n actions$"):
+            instance_from_json(doc)
+
+    def test_no_json_form_has_no_digest(self):
+        inst = gen_intro_example().with_cost_fn(_Opaque())
+        with pytest.raises(ParseError, match="^cost function _Opaque has no JSON form$"):
+            instance_to_json(inst)
+        assert compute_digest(inst) is None
