@@ -282,7 +282,7 @@ class ExplicitTable(SetFunction):
     def __init__(self, values: Sequence[float]):
         vt = [float(x) for x in values]
         n = (len(vt)).bit_length() - 1
-        if len(vt) != (1 << n):
+        if n < 0 or len(vt) != (1 << n):
             raise ValueError("table length must be a power of two")
         # Scanned as float objects: iterating an array would box each one.
         if not all(map(math.isfinite, vt)):

@@ -25,6 +25,12 @@ h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero, is settled
 once per suggestion (`_partition`); ids enter only when the winner is
 assembled.  `eta` is the id-based form of the same bound.
 
+Inspection costs are read lazily, through one memo (mask -> v) per solve
+that every suggestion shares.  An interval reads the values of its eta
+order's suffix sets from the end of the order, and only as far down as a
+split whose payment range passes the feasibility screen asks; v({i}) is
+read the same way.  Which sets are queried depends on f and c alone.
+
 The strict constraint 0 < eta_{pi(k+1)} is closed to 0 <= eta_{pi(k+1)}:
 the boundary belongs to the adjacent k, which is also enumerated, so the
 closed union covers every open piece while keeping minima attained.
@@ -174,15 +180,32 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
     return curves, cutpoints, orders
 
 
-@dataclass(frozen=True, slots=True)
+class _Values(dict):
+    """One solve's memo of inspection costs, mask -> v(mask), queried on a miss."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Callable[[int], float]):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, mask: int) -> float:
+        v = self[mask] = self.value(mask)
+        return v
+
+
+@dataclass(slots=True)
 class _Interval:
     """What every split k of one interval of suggestion ii shares.
 
     `lo`..`hi` is the interval's payment span above break-even c(i)/f(i).
-    For its eta order (action indices `order`): `w[t]` = v({order[t], ...,
-    order[-1]}) with w[len] = 0, `curves[t]` is order[t]'s curve from
-    `_partition`, `tail[t]` = (c, f, w[t] - w[t+1]) of order[t] and `bdw[t]`
-    = b * (w[t] - w[t+1]).  `v_i` = v({i}).
+    For its eta order (action indices `order`): `curves[t]` is order[t]'s
+    curve from `_partition`, `w[t]` = v({order[t], ..., order[-1]}) with
+    w[len] = 0, `tail[t]` = (c, f, w[t] - w[t+1]) of order[t] and `bdw[t]` =
+    b * (w[t] - w[t+1]).  The last three are read from the end of the order
+    (`fill`) and hold None above position `top`; `mask` is the set of
+    order[top:].  `f` and `c` hold every action's probability and cost by
+    index, and `values` is the solve's memo.
     """
 
     ii: int
@@ -191,44 +214,49 @@ class _Interval:
     hi: float
     fi: float
     ci: float
-    v_i: float
     order: list[int]
-    w: list[float]
     curves: list[tuple]
-    tail: list[tuple[float, float, float]]
-    bdw: list[float]
+    f: list[float]
+    c: list[float]
+    values: _Values
+    w: list[Optional[float]]
+    tail: list[Optional[tuple[float, float, float]]]
+    bdw: list[Optional[float]]
+    top: int
+    mask: int = 0
+
+    def fill(self, k: int) -> None:
+        """Read the suffix values of the order down to position k."""
+        order, w, t, mask = self.order, self.w, self.top, self.mask
+        while t > k:
+            t -= 1
+            x = order[t]
+            mask |= 1 << x
+            w[t] = self.values[mask]
+            d = w[t] - w[t + 1]
+            self.tail[t] = (self.c[x], self.f[x], d)
+            self.bdw[t] = self.curves[t][1] * d
+        self.top, self.mask = t, mask
 
 
-def _intervals(inst: Instance, ii: int):
+def _intervals(inst: Instance, ii: int, values: _Values):
     """Yield the interval contexts of suggestion ii (f > c > 0) that reach break-even.
 
-    Values are read through one memo (mask -> value) for the suggestion.
+    No inspection cost is read here; splits read theirs through `values`.
     """
     f = [a.prob for a in inst.actions]
     c = [a.cost for a in inst.actions]
     fi, ci = f[ii], c[ii]
     curves, cutpoints, orders = _partition(f, c, ii)
-    value = inst.cost_fn.value
-    memo: dict[int, float] = {}
-    v_i = value(1 << ii)
     for ell, order in enumerate(orders):
         lo = max(cutpoints[ell], ci / fi)
         hi = cutpoints[ell + 1]
         if lo > hi + EQ_TOL:
             continue
-        w = [0.0]
-        mask = 0
-        for x in reversed(order):
-            mask |= 1 << x
-            if mask not in memo:
-                memo[mask] = value(mask)
-            w.append(memo[mask])
-        w.reverse()
-        rivals = [curves[x] for x in order]
-        dw = [w[t] - w[t + 1] for t in range(len(order))]
-        yield _Interval(ii, ell, min(lo, hi), hi, fi, ci, v_i, order, w, rivals,
-                        [(c[x], f[x], d) for x, d in zip(order, dw)],
-                        [cv[1] * d for cv, d in zip(rivals, dw)])
+        n_a = len(order)
+        yield _Interval(ii, ell, min(lo, hi), hi, fi, ci, order,
+                        [curves[x] for x in order], f, c, values,
+                        [None] * n_a + [0.0], [None] * n_a, [None] * n_a, n_a)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +286,6 @@ def solve_subproblem(ctx: _Interval, k: int) -> Optional[tuple[float, float, flo
     # The boundary curves: p_i >= h_{pi(k)} and p_i <= h_{pi(k+1)}.
     below = ctx.curves[k - 1] if k >= 1 else None
     above = ctx.curves[k] if k < n_a else None
-    gamma = ctx.v_i - ctx.w[k]
-    tail = ctx.tail[k:]
 
     # Cut the alpha range where the boundary curves cross 0 or 1; branch
     # formulas and feasibility signs are constant on each resulting piece.
@@ -270,14 +296,23 @@ def solve_subproblem(ctx: _Interval, k: int) -> Optional[tuple[float, float, flo
                 if x is not None and lo < x < hi:
                     cuts.add(x)
     grid = sorted(cuts)
-
-    base_D = sum(ctx.bdw[k:])
-    best = None
+    pieces = []
     for a0, a1 in zip(grid, grid[1:]) if len(grid) > 1 else [(lo, hi)]:
         mid = 0.5 * (a0 + a1)
         h_low, h_high = _level(below, mid, -math.inf), _level(above, mid, math.inf)
-        if h_low > 1.0 + EQ_TOL or h_high < -EQ_TOL:
-            continue
+        if not (h_low > 1.0 + EQ_TOL or h_high < -EQ_TOL):
+            pieces.append((a0, a1, h_low, h_high))
+    if not pieces:
+        return None
+
+    # Only a split with a live piece reads inspection costs.
+    ctx.fill(k)
+    v_i = ctx.values[1 << ctx.ii]
+    gamma = v_i - ctx.w[k]
+    tail = ctx.tail[k:]
+    base_D = sum(ctx.bdw[k:])
+    best = None
+    for a0, a1, h_low, h_high in pieces:
         # Piece objective A + B*alpha + D/alpha after substituting p_i(alpha).
         D = base_D
         if gamma >= 0.0:
@@ -301,7 +336,7 @@ def solve_subproblem(ctx: _Interval, k: int) -> Optional[tuple[float, float, flo
             pay = alpha * fi
             rate = pay - ctx.ci
             keep = 1.0 - p
-            total = pay + p * ctx.v_i
+            total = pay + p * v_i
             for cj, fj, dw in tail:
                 total += (keep - (rate + cj) / (alpha * fj)) * dw
             if best is None or total < best[0]:
@@ -360,6 +395,7 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
         else:
             warnings = ("submodularity unverified (n > 10); result trusted",)
 
+    values = _Values(inst.cost_fn.value)
     best = None  # (utility, -index, -alpha) -> payload
 
     def consider(utility, ii, alpha, payload):
@@ -376,7 +412,7 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
             continue
         if a.prob <= a.cost:
             continue
-        for ctx in _intervals(inst, ii):
+        for ctx in _intervals(inst, ii, values):
             for k in range(len(ctx.order) + 1):
                 res = solve_subproblem(ctx, k)
                 if res is not None:

@@ -292,14 +292,17 @@ def _cost_fn_from_json(doc: dict, ids: list[ActionId]) -> costfn.SetFunction:
 
 
 def cost_fn_to_json(fn: costfn.SetFunction, ids: list[ActionId]) -> dict:
+    """The JSON form of a cost of one of the built-in types, chosen by its
+    exact type: a subclass may override `value`, so it has no JSON form."""
     def weights_doc(w):
         return {j: w[i] for i, j in enumerate(ids) if w[i] != 0.0}
 
-    if isinstance(fn, costfn.Additive):
+    kind = type(fn)
+    if kind is costfn.Additive:
         return {"type": "additive", "weights": weights_doc(fn.weights)}
-    if isinstance(fn, costfn.BudgetAdditive):
+    if kind is costfn.BudgetAdditive:
         return {"type": "budget_additive", "weights": weights_doc(fn.weights), "cap": fn.cap}
-    if isinstance(fn, costfn.WeightedCoverage):
+    if kind is costfn.WeightedCoverage:
         return {
             "type": "coverage",
             "universe": fn.universe,
@@ -307,14 +310,14 @@ def cost_fn_to_json(fn: costfn.SetFunction, ids: list[ActionId]) -> dict:
             "covers": {j: sorted(costfn.bits(fn.covers[i])) for i, j in enumerate(ids)
                        if fn.covers[i]},
         }
-    if isinstance(fn, costfn.ConcaveCardinality):
+    if kind is costfn.ConcaveCardinality:
         return {"type": "concave_cardinality", "table": list(fn.g)}
-    if isinstance(fn, costfn.ExplicitTable):
+    if kind is costfn.ExplicitTable:
         return {"type": "table", "values": fn.values.tolist()}
-    if isinstance(fn, costfn.XOSClauses):
+    if kind is costfn.XOSClauses:
         return {"type": "xos", "clauses": [weights_doc(c) for c in fn.clauses]}
     from .families import VTCost
-    if isinstance(fn, VTCost):
+    if kind is VTCost:
         return {"type": "xos_hard", "k": fn.params.k, "T": sorted(fn.params.T),
                 "m": fn.params.m_override}
     raise ParseError(f"cost function {type(fn).__name__} has no JSON form")

@@ -444,6 +444,7 @@ class TestRejectPaths:
         (lambda: ConcaveCardinality([0.0, 0.5, 0.4]),
          "cardinality table must be nondecreasing"),
         (lambda: ExplicitTable([0.0, 0.1, 0.2]), "table length must be a power of two"),
+        (lambda: ExplicitTable([]), "table length must be a power of two"),
         (lambda: XOSClauses([]), "XOS needs at least one clause"),
         (lambda: XOSClauses([[0.1], [0.1, 0.2]]), "all clauses must have the same length"),
         (lambda: check_monotone(Additive([0.1, 0.2]), 2, mode="bogus"),
@@ -451,8 +452,8 @@ class TestRejectPaths:
         (lambda: check_submodular(Additive([0.1, 0.2]), 2, mode="bogus"),
          "unknown mode 'bogus'"),
     ], ids=["negative-cap", "coverage-weights-length", "cover-too-high",
-            "cover-negative", "decreasing-cardinality", "table-length", "xos-empty",
-            "xos-ragged", "monotone-mode", "submodular-mode"])
+            "cover-negative", "decreasing-cardinality", "table-length", "table-empty",
+            "xos-empty", "xos-ragged", "monotone-mode", "submodular-mode"])
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()

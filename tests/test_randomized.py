@@ -13,7 +13,7 @@ from icx.deterministic import solve_deterministic
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import Action, Instance, ValidationError, is_IC, marginal
 from icx.oracle import lp_min_cost_given_marginals
-from icx.randomized import (SubmodularityError, _intervals, _partition,
+from icx.randomized import (SubmodularityError, _intervals, _partition, _Values,
                             assemble_scheme, eta, nested_min_cost_distribution,
                             solve_randomized, solve_subproblem)
 from icx.serialization import canonical_dumps
@@ -31,9 +31,14 @@ def partition(inst, i):
             tuple(ids[x] for x, curve in enumerate(curves) if curve is not None))
 
 
+def intervals(inst, ii):
+    """The interval contexts of suggestion index ii, with a memo of their own."""
+    return _intervals(inst, ii, _Values(inst.cost_fn.value))
+
+
 def interval(inst, i, ell):
     """Interval ell of suggestion i, which must reach the break-even payment."""
-    return next(ctx for ctx in _intervals(inst, inst.index(i)) if ctx.ell == ell)
+    return next(ctx for ctx in intervals(inst, inst.index(i)) if ctx.ell == ell)
 
 
 def subproblem_objective(inst, i, order, k, alpha, p_i):
@@ -213,7 +218,7 @@ class TestSubproblem:
             for ii, a in enumerate(inst.actions):
                 if not a.prob > a.cost > 0:
                     continue
-                for ctx in _intervals(inst, ii):
+                for ctx in intervals(inst, ii):
                     for k in range(len(ctx.order) + 1):
                         res = solve_subproblem(ctx, k)
                         if res is None:
@@ -227,15 +232,16 @@ class TestSubproblem:
 
     def test_objective_equals_id_based_reference(self, rng):
         # The index-native evaluation keeps eta's float operation order, so
-        # it reproduces the id-based reference bit for bit.
+        # it reproduces the id-based reference bit for bit.  Splits run from
+        # the last down, so each one extends the suffix values read so far.
         for trial in range(40):
             inst = random_instance(rng, rng.randint(2, 7), fn_kind="submodular")
             for ii, a in enumerate(inst.actions):
                 if not a.prob > a.cost > 0:
                     continue
                 _, orders, _ = partition(inst, a.id)
-                for ctx in _intervals(inst, ii):
-                    for k in range(len(ctx.order) + 1):
+                for ctx in intervals(inst, ii):
+                    for k in reversed(range(len(ctx.order) + 1)):
                         res = solve_subproblem(ctx, k)
                         if res is not None:
                             objective, alpha, p_i = res
@@ -483,13 +489,16 @@ def golden_corpus():
             rng = random.Random(1000 * n + t)
             fn = random_submodular_fn(rng, n, kind)
             yield f"tied-{kind}-{n}", random_instance(rng, n, fn=fn)
-            rng = random.Random(5000 * n + t)
-            actions = [Action("bot", 0.0, rng.random())]
-            for j in range(1, n):
-                prob = rng.random()
-                actions.append(Action(f"a{j}", prob * rng.uniform(0.0, 0.8), prob))
-            fn = random_submodular_fn(rng, n, kind)
-            yield f"gp-{kind}-{n}", Instance(tuple(actions), "bot", fn)
+            yield f"gp-{kind}-{n}", gp_instance(random.Random(5000 * n + t), n, kind)
+
+
+def gp_instance(rng, n, kind):
+    """Every cost and probability drawn uniformly, costs below the probability."""
+    actions = [Action("bot", 0.0, rng.random())]
+    for j in range(1, n):
+        prob = rng.random()
+        actions.append(Action(f"a{j}", prob * rng.uniform(0.0, 0.8), prob))
+    return Instance(tuple(actions), "bot", random_submodular_fn(rng, n, kind))
 
 
 def golden_entry(inst):
@@ -507,120 +516,137 @@ def golden_entry(inst):
 # is the id-based solver's with that warning taken out).
 GOLDEN = {
     "tied-additive-3": ("0fcdc90b087dc96f", 1),
-    "gp-additive-3": ("55d5f771953f9fc5", 7),
-    "tied-budget-3": ("07ec15f3d9c4e9a4", 4),
-    "gp-budget-3": ("40a4756e8c94f854", 7),
+    "gp-additive-3": ("55d5f771953f9fc5", 6),
+    "tied-budget-3": ("07ec15f3d9c4e9a4", 3),
+    "gp-budget-3": ("40a4756e8c94f854", 5),
     "tied-coverage-3": ("4731d4bd7d711e97", 1),
-    "gp-coverage-3": ("ed628c838804f74e", 7),
-    "tied-concave-3": ("527fb683a5ca7ec0", 4),
-    "gp-concave-3": ("c8e10dba8a289f24", 7),
-    "tied-additive-4": ("54930b888f407a3f", 11),
-    "gp-additive-4": ("8f6f469559060ba8", 16),
-    "tied-budget-4": ("c24ed394baeece5e", 5),
-    "gp-budget-4": ("840d753325780359", 16),
-    "tied-coverage-4": ("a935d4a16a99490c", 5),
-    "gp-coverage-4": ("8da2bad7b6f2a1c7", 19),
-    "tied-concave-4": ("297b36e91268e5ad", 6),
-    "gp-concave-4": ("1b777501fbea30e2", 14),
-    "tied-additive-5": ("e3b79051f286259c", 20),
-    "gp-additive-5": ("ce26be596ffd2a31", 30),
-    "tied-budget-5": ("353ed834b4e74c6e", 5),
-    "gp-budget-5": ("5264f0d80e010b8b", 28),
-    "tied-coverage-5": ("92bc430511f8f3c3", 6),
-    "gp-coverage-5": ("bb6c6bf52c607542", 26),
-    "tied-concave-5": ("c4e2938599623fd0", 31),
-    "gp-concave-5": ("1aa20fd8dc61fa52", 34),
-    "tied-additive-6": ("6ec26ac7cb884560", 15),
-    "gp-additive-6": ("75fd0b5a05b27f0a", 40),
-    "tied-budget-6": ("b4b4157b97754a03", 21),
-    "gp-budget-6": ("1b82d61530cfaf73", 31),
-    "tied-coverage-6": ("0610f1b65d29f8a6", 9),
-    "gp-coverage-6": ("f4b549ce90f0b6af", 70),
-    "tied-concave-6": ("dad681a1bc17f150", 8),
-    "gp-concave-6": ("20d1e423d8710d86", 52),
-    "tied-additive-7": ("83ed6ea36f382a8f", 14),
-    "gp-additive-7": ("992c1d43e45905a7", 84),
-    "tied-budget-7": ("e659739b6831d317", 29),
-    "gp-budget-7": ("d98aca9ebd8429b8", 69),
-    "tied-coverage-7": ("53e48de8d7199e97", 11),
-    "gp-coverage-7": ("4dda33b4af1d8664", 49),
-    "tied-concave-7": ("8604170e357622dd", 19),
-    "gp-concave-7": ("d871f50b23f6361e", 98),
-    "tied-additive-8": ("e20f753bb32587cb", 26),
-    "gp-additive-8": ("f9cffb6bf8be1753", 79),
-    "tied-budget-8": ("078ae46d9508db2b", 48),
-    "gp-budget-8": ("12a9d9335df07e41", 78),
-    "tied-coverage-8": ("45c4e6c49e6f1182", 33),
-    "gp-coverage-8": ("2e69d6384a2cbc13", 70),
-    "tied-concave-8": ("46a039e22122ef50", 44),
-    "gp-concave-8": ("e3a1fd59fa5fa0d9", 75),
-    "tied-additive-9": ("03bf652444a4e31e", 58),
-    "gp-additive-9": ("370b8fab0edf767d", 107),
-    "tied-budget-9": ("a032869cf1029e34", 43),
-    "gp-budget-9": ("c7afeb619ccc2d1c", 145),
-    "tied-coverage-9": ("a32e851dd5aec6be", 48),
-    "gp-coverage-9": ("693e804941534a4d", 154),
-    "tied-concave-9": ("8c5ee2b25fcb5792", 14),
-    "gp-concave-9": ("bccac96b6eb30a56", 160),
-    "tied-additive-10": ("3b2899c645c47f65", 58),
-    "gp-additive-10": ("7e0c95f15aa6245c", 140),
-    "tied-budget-10": ("52da65dc48ed8ba8", 56),
-    "gp-budget-10": ("f0dc7e85bac459b8", 168),
-    "tied-coverage-10": ("579cf6362b766c67", 14),
-    "gp-coverage-10": ("1694947a1c2ababd", 177),
-    "tied-concave-10": ("101b6b08803c6608", 50),
-    "gp-concave-10": ("6f4c068396489974", 133),
-    "tied-additive-11": ("99b5580d5a3d4e18", 33),
-    "gp-additive-11": ("50cf95f6cc35d26e", 258),
-    "tied-budget-11": ("17f628cd8f989e8d", 81),
-    "gp-budget-11": ("589f938b8817aaa4", 263),
-    "tied-coverage-11": ("e537a88f409fcc8f", 41),
-    "gp-coverage-11": ("1c08fd92081c770b", 283),
-    "tied-concave-11": ("468d176ab64320a0", 19),
-    "gp-concave-11": ("f9815657750c53d8", 305),
-    "tied-additive-12": ("68919c4cc0ad3c43", 54),
-    "gp-additive-12": ("5814de96f52a4210", 300),
-    "tied-budget-12": ("94e92106d6689d73", 51),
-    "gp-budget-12": ("e939c5335d13e386", 270),
-    "tied-coverage-12": ("faa16179b9b3997d", 71),
-    "gp-coverage-12": ("e97a21d844afcce0", 364),
-    "tied-concave-12": ("3cd964c0431980d1", 52),
-    "gp-concave-12": ("baa235cbb675a676", 302),
-    "tied-additive-13": ("7b944f83ae4ff5b8", 69),
-    "gp-additive-13": ("f3dfef733e69b41e", 328),
-    "tied-budget-13": ("46fb5d02c9660291", 33),
-    "gp-budget-13": ("9dddcd88c7ef6bb7", 364),
-    "tied-coverage-13": ("26981221546c41d3", 166),
-    "gp-coverage-13": ("b94c41a254516e3a", 328),
-    "tied-concave-13": ("57f114d57ea31f27", 129),
-    "gp-concave-13": ("c57ace9a45fffdd7", 402),
-    "tied-additive-14": ("8615469306ceb8ef", 153),
-    "gp-additive-14": ("381f30f6b2e6c4ba", 413),
-    "tied-budget-14": ("c5655edc99ee2187", 132),
-    "gp-budget-14": ("0ac84d6f89fbe221", 592),
-    "tied-coverage-14": ("c44edb94529f6e66", 146),
-    "gp-coverage-14": ("13298286ee07a052", 382),
-    "tied-concave-14": ("2e2430ceee86d6ae", 51),
-    "gp-concave-14": ("f942bb4d860bfc12", 472),
+    "gp-coverage-3": ("ed628c838804f74e", 5),
+    "tied-concave-3": ("527fb683a5ca7ec0", 3),
+    "gp-concave-3": ("c8e10dba8a289f24", 5),
+    "tied-additive-4": ("54930b888f407a3f", 7),
+    "gp-additive-4": ("8f6f469559060ba8", 9),
+    "tied-budget-4": ("c24ed394baeece5e", 3),
+    "gp-budget-4": ("840d753325780359", 8),
+    "tied-coverage-4": ("a935d4a16a99490c", 3),
+    "gp-coverage-4": ("8da2bad7b6f2a1c7", 10),
+    "tied-concave-4": ("297b36e91268e5ad", 5),
+    "gp-concave-4": ("1b777501fbea30e2", 8),
+    "tied-additive-5": ("e3b79051f286259c", 7),
+    "gp-additive-5": ("ce26be596ffd2a31", 14),
+    "tied-budget-5": ("353ed834b4e74c6e", 3),
+    "gp-budget-5": ("5264f0d80e010b8b", 11),
+    "tied-coverage-5": ("92bc430511f8f3c3", 5),
+    "gp-coverage-5": ("bb6c6bf52c607542", 12),
+    "tied-concave-5": ("c4e2938599623fd0", 12),
+    "gp-concave-5": ("1aa20fd8dc61fa52", 11),
+    "tied-additive-6": ("6ec26ac7cb884560", 6),
+    "gp-additive-6": ("75fd0b5a05b27f0a", 13),
+    "tied-budget-6": ("b4b4157b97754a03", 8),
+    "gp-budget-6": ("1b82d61530cfaf73", 11),
+    "tied-coverage-6": ("0610f1b65d29f8a6", 7),
+    "gp-coverage-6": ("f4b549ce90f0b6af", 20),
+    "tied-concave-6": ("dad681a1bc17f150", 7),
+    "gp-concave-6": ("20d1e423d8710d86", 15),
+    "tied-additive-7": ("83ed6ea36f382a8f", 7),
+    "gp-additive-7": ("992c1d43e45905a7", 19),
+    "tied-budget-7": ("e659739b6831d317", 10),
+    "gp-budget-7": ("d98aca9ebd8429b8", 20),
+    "tied-coverage-7": ("53e48de8d7199e97", 9),
+    "gp-coverage-7": ("4dda33b4af1d8664", 15),
+    "tied-concave-7": ("8604170e357622dd", 11),
+    "gp-concave-7": ("d871f50b23f6361e", 25),
+    "tied-additive-8": ("e20f753bb32587cb", 12),
+    "gp-additive-8": ("f9cffb6bf8be1753", 19),
+    "tied-budget-8": ("078ae46d9508db2b", 16),
+    "gp-budget-8": ("12a9d9335df07e41", 19),
+    "tied-coverage-8": ("45c4e6c49e6f1182", 10),
+    "gp-coverage-8": ("2e69d6384a2cbc13", 17),
+    "tied-concave-8": ("46a039e22122ef50", 16),
+    "gp-concave-8": ("e3a1fd59fa5fa0d9", 16),
+    "tied-additive-9": ("03bf652444a4e31e", 12),
+    "gp-additive-9": ("370b8fab0edf767d", 24),
+    "tied-budget-9": ("a032869cf1029e34", 10),
+    "gp-budget-9": ("c7afeb619ccc2d1c", 30),
+    "tied-coverage-9": ("a32e851dd5aec6be", 19),
+    "gp-coverage-9": ("693e804941534a4d", 31),
+    "tied-concave-9": ("8c5ee2b25fcb5792", 7),
+    "gp-concave-9": ("bccac96b6eb30a56", 29),
+    "tied-additive-10": ("3b2899c645c47f65", 16),
+    "gp-additive-10": ("7e0c95f15aa6245c", 24),
+    "tied-budget-10": ("52da65dc48ed8ba8", 19),
+    "gp-budget-10": ("f0dc7e85bac459b8", 30),
+    "tied-coverage-10": ("579cf6362b766c67", 9),
+    "gp-coverage-10": ("1694947a1c2ababd", 30),
+    "tied-concave-10": ("101b6b08803c6608", 16),
+    "gp-concave-10": ("6f4c068396489974", 25),
+    "tied-additive-11": ("99b5580d5a3d4e18", 15),
+    "gp-additive-11": ("50cf95f6cc35d26e", 39),
+    "tied-budget-11": ("17f628cd8f989e8d", 16),
+    "gp-budget-11": ("589f938b8817aaa4", 41),
+    "tied-coverage-11": ("e537a88f409fcc8f", 13),
+    "gp-coverage-11": ("1c08fd92081c770b", 39),
+    "tied-concave-11": ("468d176ab64320a0", 13),
+    "gp-concave-11": ("f9815657750c53d8", 45),
+    "tied-additive-12": ("68919c4cc0ad3c43", 17),
+    "gp-additive-12": ("5814de96f52a4210", 41),
+    "tied-budget-12": ("94e92106d6689d73", 13),
+    "gp-budget-12": ("e939c5335d13e386", 40),
+    "tied-coverage-12": ("faa16179b9b3997d", 19),
+    "gp-coverage-12": ("e97a21d844afcce0", 47),
+    "tied-concave-12": ("3cd964c0431980d1", 18),
+    "gp-concave-12": ("baa235cbb675a676", 39),
+    "tied-additive-13": ("7b944f83ae4ff5b8", 14),
+    "gp-additive-13": ("f3dfef733e69b41e", 40),
+    "tied-budget-13": ("46fb5d02c9660291", 9),
+    "gp-budget-13": ("9dddcd88c7ef6bb7", 53),
+    "tied-coverage-13": ("26981221546c41d3", 36),
+    "gp-coverage-13": ("b94c41a254516e3a", 44),
+    "tied-concave-13": ("57f114d57ea31f27", 17),
+    "gp-concave-13": ("c57ace9a45fffdd7", 50),
+    "tied-additive-14": ("8615469306ceb8ef", 25),
+    "gp-additive-14": ("381f30f6b2e6c4ba", 44),
+    "tied-budget-14": ("c5655edc99ee2187", 28),
+    "gp-budget-14": ("0ac84d6f89fbe221", 63),
+    "tied-coverage-14": ("c44edb94529f6e66", 29),
+    "gp-coverage-14": ("13298286ee07a052", 47),
+    "tied-concave-14": ("2e2430ceee86d6ae", 19),
+    "gp-concave-14": ("f942bb4d860bfc12", 51),
 }
 
 # From CPython 3.12 on, sum() of floats is compensated, which moves the last
 # bits of these reports (the same at the id-based solver).
 if sys.version_info >= (3, 12):
     GOLDEN.update({
-        "tied-budget-7": ("d613d890fe8bf64f", 29),
-        "gp-budget-8": ("2512703246047916", 78),
-        "gp-budget-9": ("12d56bcc14cbe374", 145),
-        "tied-budget-11": ("31a465b5adc078ad", 81),
-        "gp-budget-11": ("818ced6428e38d00", 263),
-        "tied-budget-13": ("bcefab5c0e10a626", 33),
-        "gp-budget-13": ("0b19f01cba2f2375", 364),
+        "tied-budget-7": ("d613d890fe8bf64f", 10),
+        "gp-budget-8": ("2512703246047916", 19),
+        "gp-budget-9": ("12d56bcc14cbe374", 30),
+        "tied-budget-11": ("31a465b5adc078ad", 16),
+        "gp-budget-11": ("818ced6428e38d00", 41),
+        "tied-budget-13": ("bcefab5c0e10a626", 9),
+        "gp-budget-13": ("0b19f01cba2f2375", 53),
     })
 
 
 def test_golden_reports_and_query_counts():
     got = {label: golden_entry(inst) for label, inst in golden_corpus()}
     assert got == GOLDEN
+
+
+# Value queries per solve on two "gp" instances at each n, here 30/31,
+# 99/93 and 217/227 at n = 10/20/30 (4,853 and 5,143 at n = 30 when every
+# suffix set of every interval was queried).  Counts grow faster than n when
+# most actions are worth suggesting, so n = 30 sets the factor: 9n leaves 19%
+# headroom there, and three times the count at n = 10.
+QUERIES_PER_ACTION = 9
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_value_queries_linear_bound(n):
+    for seed in (1, 2):
+        inst = gp_instance(random.Random(100 * n + seed), n, "additive")
+        counted = costfn.CountingOracle(inst.cost_fn)
+        solve_randomized(inst.with_cost_fn(counted))
+        assert counted.value_queries <= QUERIES_PER_ACTION * n
 
 
 @settings(max_examples=100, deadline=None)

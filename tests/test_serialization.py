@@ -14,6 +14,7 @@ from icx.reports import compute_digest
 from icx.serialization import (ParseError, canonical_dumps, instance_digest,
                                instance_from_json, instance_to_json,
                                scheme_from_json, scheme_to_json)
+from conftest import Squared
 
 
 def roundtrip(doc):
@@ -279,3 +280,14 @@ class TestRejectPaths:
         with pytest.raises(ParseError, match="^cost function _Opaque has no JSON form$"):
             instance_to_json(inst)
         assert compute_digest(inst) is None
+
+    def test_subclass_has_no_json_form(self):
+        # Squared overrides `value`, so writing it as plain additive would
+        # give a report the digest of a different cost.
+        plain = gen_intro_example().with_cost_fn(costfn.Additive([0.5, 0.25, 1.0]))
+        inst = plain.with_cost_fn(Squared([0.5, 0.25, 1.0]))
+        assert inst.cost_fn.value(0b111) != plain.cost_fn.value(0b111)
+        with pytest.raises(ParseError, match="^cost function Squared has no JSON form$"):
+            instance_to_json(inst)
+        assert compute_digest(inst) is None
+        assert compute_digest(plain) is not None
