@@ -417,9 +417,9 @@ def _bit_slices(vals: Sequence[float], n: int, i: int):
     return ((vals[h + b:h + step], vals[h:h + b]) for h in range(0, size, step))
 
 
-def _any_step(vals: Sequence[float], n: int, cmp, shift) -> bool:
-    """Whether cmp(vals[m | b], shift(vals[m], EQ_TOL)) for some bit b and mask m without b."""
-    tol = repeat(EQ_TOL)
+def _any_step(vals: Sequence[float], n: int, cmp, shift, tol: float = EQ_TOL) -> bool:
+    """Whether cmp(vals[m | b], shift(vals[m], tol)) for some bit b and mask m without b."""
+    tol = repeat(tol)
     for i in range(n):
         for hi, lo in _bit_slices(vals, n, i):
             # cmp(hi, lo) is implied by the tolerant comparison and costs no
@@ -453,8 +453,13 @@ def _gains(vals: Sequence[float], n: int, i: int) -> list[float]:
 
 
 def _submodular_violation(vals: Sequence[float], n: int):
-    """First (mask, i, j), in mask-then-i-then-j order, with v(i|mask+j) > v(i|mask) + EQ_TOL."""
-    if not any(_any_step(_gains(vals, n, i), n - 1, operator.gt, operator.add)
+    """First (mask, i, j), in mask-then-i-then-j order, with v(i|mask+j) > v(i|mask) + tol.
+
+    tol is EQ_TOL scaled by the table's largest magnitude, when above 1:
+    the rounding error of a difference of values grows with them.
+    """
+    tol = _scaled_tol(vals)
+    if not any(_any_step(_gains(vals, n, i), n - 1, operator.gt, operator.add, tol)
                for i in range(n)):
         return None
     for mask in range(1 << n):
@@ -467,9 +472,14 @@ def _submodular_violation(vals: Sequence[float], n: int):
                 bj = 1 << j
                 if j == i or mask & bj:
                     continue
-                if vals[mask | bj | bi] - vals[mask | bj] > base + EQ_TOL:
+                if vals[mask | bj | bi] - vals[mask | bj] > base + tol:
                     return mask, i, j
     raise AssertionError("slice scan and ordered scan disagree")
+
+
+def _scaled_tol(vals) -> float:
+    """EQ_TOL * max(1, largest |v| among vals): the tolerance for differences of vals."""
+    return EQ_TOL * max(1.0, max(map(abs, vals)))
 
 
 def check_monotone(fn: SetFunction, n: int, mode: str = "exhaustive",
@@ -500,8 +510,10 @@ def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
                      seed: int = 0, samples: int = 1000):
     """Check decreasing marginals: v(i|S) >= v(i|S+j) for all S, i,j not in S.
 
-    Returns (True, None) or (False, (mask, i, j)) for the first violating
-    nested pair found.
+    A marginal may grow by EQ_TOL times the largest |v| read, when that is
+    above 1: exhaustively, the largest in the table; sampled, the largest
+    of the four values each comparison reads.  Returns (True, None) or
+    (False, (mask, i, j)) for the first violating nested pair found.
     """
     if mode == "exhaustive":
         if n > 16:
@@ -515,8 +527,9 @@ def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
             if i == j or mask & (1 << i) or mask & (1 << j):
                 continue
             bi, bj = 1 << i, 1 << j
-            if fn.value(mask | bj | bi) - fn.value(mask | bj) > \
-                    fn.value(mask | bi) - fn.value(mask) + EQ_TOL:
+            vals = (fn.value(mask | bj | bi), fn.value(mask | bj),
+                    fn.value(mask | bi), fn.value(mask))
+            if vals[0] - vals[1] > vals[2] - vals[3] + _scaled_tol(vals):
                 return False, (mask, i, j)
         return True, None
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,4 @@
-"""Independent brute-force reference solvers and a small dense LP engine.
+"""Independent brute-force reference solvers and a small dense LP engine on lists.
 
 Everything here exists to verify the fast solvers, so it favors transparent
 exhaustive computation over cleverness: the deterministic oracle enumerates
@@ -23,9 +23,6 @@ IC.  The randomized oracle builds the LP skeleton (subset masks, their
 costs, the 0/1 constraint matrix) once per suggestion and recomputes only
 the right-hand side at each payment.  Each mask's cost is queried at most
 once per suggestion.
-
-numpy is imported inside the functions that build or solve an LP, so that
-importing `icx` (and running the solvers) never loads it.
 """
 
 from __future__ import annotations
@@ -59,54 +56,71 @@ class OracleSizeError(ValidationError):
 
 @dataclass
 class LinearProgram:
-    """min objective @ x  s.t.  A x (senses) b,  x >= 0."""
+    """min objective @ x  s.t.  A x (senses) b,  x >= 0.
 
-    objective: np.ndarray
-    A: np.ndarray
+    Each field accepts any sequence of numbers, array types included, and is
+    stored as Python floats: `objective` and `b` as lists, `A` as a list of rows.
+    """
+
+    objective: list[float]
+    A: list[list[float]]
     senses: tuple[str, ...]
-    b: np.ndarray
+    b: list[float]
 
     def __post_init__(self):
-        import numpy as np
-
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float)
-        m, n = self.A.shape
-        if len(self.objective) != n or len(self.b) != m or len(self.senses) != m:
+        self.objective = list(map(float, self.objective))
+        self.A = [list(map(float, row)) for row in self.A]
+        self.b = list(map(float, self.b))
+        m, n = len(self.A), len(self.objective)
+        if (len(self.b) != m or len(self.senses) != m
+                or any(len(row) != n for row in self.A)):
             raise ValueError("inconsistent LP dimensions")
-        if not (np.isfinite(self.objective).all() and np.isfinite(self.A).all()
-                and np.isfinite(self.b).all()):
+        if not (all(map(math.isfinite, self.objective)) and all(map(math.isfinite, self.b))
+                and all(all(map(math.isfinite, row)) for row in self.A)):
             raise ValueError("LP entries must be finite")
         if n > MAX_LP_VARS or m > MAX_LP_ROWS:
             raise ValueError(f"LP size {m}x{n} exceeds desk-scale limits")
 
 
-def _pivot(T: np.ndarray, row: int, col: int):
-    import numpy as np
+def _pivot(T: list[list[float]], row: int, col: int):
+    """Pivot tableau T on (row, col): that column becomes the row's unit vector."""
+    prow = T[row]
+    p = prow[col]
+    if p != 1.0:
+        prow = T[row] = [v / p for v in prow]
+    for r, trow in enumerate(T):
+        f = trow[col]
+        if r != row and f != 0.0:
+            T[r] = [v - f * w for v, w in zip(trow, prow)]
 
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
 
+def _run_simplex(T: list[list[float]], basis: list[int]) -> str:
+    """Primal simplex on tableau T (last row = reduced costs, last col = rhs).
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
-    """Bland's rule on tableau T (last row = reduced costs, last col = rhs)."""
-    m = T.shape[0] - 1
+    Every column but the last may enter.  Dantzig's rule enters the most
+    negative reduced cost (the lowest index on ties); after a degenerate
+    pivot, one whose ratio is at most DEFAULT_TOL, Bland's rule enters the
+    lowest-index negative one until a pivot strictly improves the objective.
+    A run of degenerate pivots is then Bland's, which cannot cycle, and a
+    strict improvement never returns to an earlier basis, so the method ends.
+    """
+    m = len(T) - 1
+    obj = T[-1]
+    ncols = len(obj) - 1
+    bland = False
     while True:
-        enter = -1
-        for j in range(ncols):
-            if T[-1, j] < -DEFAULT_TOL:
-                enter = j
-                break
+        if bland:
+            enter = next((j for j in range(ncols) if obj[j] < -DEFAULT_TOL), -1)
+        else:
+            least = min(obj[:ncols])
+            enter = obj.index(least, 0, ncols) if least < -DEFAULT_TOL else -1
         if enter < 0:
             return "optimal"
         leave, best_ratio = -1, math.inf
         for r in range(m):
-            a = T[r, enter]
+            a = T[r][enter]
             if a > DEFAULT_TOL:
-                ratio = T[r, -1] / a
+                ratio = T[r][-1] / a
                 if ratio < best_ratio - DEFAULT_TOL:
                     leave, best_ratio = r, ratio
                 elif (leave >= 0 and ratio <= best_ratio + DEFAULT_TOL
@@ -116,86 +130,94 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
             return "unbounded"
         _pivot(T, leave, enter)
         basis[leave] = enter
+        obj = T[-1]
+        bland = best_ratio <= DEFAULT_TOL
 
 
 def simplex_solve(lp: LinearProgram):
-    """Two-phase primal simplex with Bland's anti-cycling rule.
+    """Two-phase primal simplex: Dantzig pricing, Bland's rule when degenerate.
 
     Returns (status, solution, value) with status in
-    {"optimal", "infeasible", "unbounded"}; solution/value are None unless
-    optimal.
+    {"optimal", "infeasible", "unbounded"}; solution (a list, one entry per
+    variable) and value (the `math.fsum` of objective times solution) are
+    None unless optimal.
     """
-    import numpy as np
-
-    m, n = lp.A.shape
-    A = lp.A.copy()
-    b = lp.b.copy()
+    m, n = len(lp.A), len(lp.objective)
     senses = list(lp.senses)
+    rows, b = [], []
     for r in range(m):
-        if b[r] < 0:
-            A[r] *= -1
-            b[r] *= -1
+        row, rhs = lp.A[r], lp.b[r]
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
             senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
+        rows.append(row)
+        b.append(rhs)
 
-    n_slack = sum(1 for s in senses if s == "<=")
-    n_surplus = sum(1 for s in senses if s == ">=")
-    n_art = sum(1 for s in senses if s in ("=", ">="))
+    n_slack = senses.count("<=")
+    n_surplus = senses.count(">=")
+    n_art = m - n_slack
     total = n + n_slack + n_surplus + n_art
     slack0, surplus0, art0 = n, n + n_slack, n + n_slack + n_surplus
 
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
+    T: list[list[float]] = []
     basis: list[int] = []
     si = ti = ai = 0
     for r in range(m):
+        tail = [0.0] * (total - n + 1)
+        tail[-1] = b[r]
         if senses[r] == "<=":
-            T[r, slack0 + si] = 1.0
+            tail[slack0 + si - n] = 1.0
             basis.append(slack0 + si)
             si += 1
         elif senses[r] == ">=":
-            T[r, surplus0 + ti] = -1.0
-            T[r, art0 + ai] = 1.0
+            tail[surplus0 + ti - n] = -1.0
+            tail[art0 + ai - n] = 1.0
             basis.append(art0 + ai)
             ti += 1
             ai += 1
         else:
-            T[r, art0 + ai] = 1.0
+            tail[art0 + ai - n] = 1.0
             basis.append(art0 + ai)
             ai += 1
+        T.append(rows[r] + tail)
 
     # Phase 1: minimize the sum of artificials.
     if n_art:
-        T[-1, art0:art0 + n_art] = 1.0
+        obj = [0.0] * art0 + [1.0] * n_art + [0.0]
         for r, bc in enumerate(basis):
             if bc >= art0:
-                T[-1] -= T[r]
-        status = _run_simplex(T, basis, total)
-        if status != "optimal" or T[-1, -1] < -DEFAULT_TOL:
+                obj = [v - w for v, w in zip(obj, T[r])]
+        T.append(obj)
+        status = _run_simplex(T, basis)
+        if status != "optimal" or T[-1][-1] < -DEFAULT_TOL:
             return "infeasible", None, None
         # Pivot remaining artificials out of the basis where possible.
         for r, bc in enumerate(basis):
             if bc >= art0:
                 for j in range(art0):
-                    if abs(T[r, j]) > DEFAULT_TOL:
+                    if abs(T[r][j]) > DEFAULT_TOL:
                         _pivot(T, r, j)
                         basis[r] = j
                         break
-        T[:, art0:art0 + n_art] = 0.0  # bar artificials from re-entering
+        T.pop()
+        for row in T:
+            del row[art0:-1]  # bar artificials from re-entering
 
     # Phase 2: original objective.
-    T[-1, :] = 0.0
-    T[-1, :n] = lp.objective
+    obj = lp.objective + [0.0] * (art0 - n + 1)
     for r, bc in enumerate(basis):
-        if T[-1, bc] != 0.0:
-            T[-1] -= T[-1, bc] * T[r]
-    status = _run_simplex(T, basis, art0)
+        if bc < art0 and obj[bc] != 0.0:
+            f = obj[bc]
+            obj = [v - f * w for v, w in zip(obj, T[r])]
+    T.append(obj)
+    status = _run_simplex(T, basis)
     if status == "unbounded":
         return "unbounded", None, None
-    x = np.zeros(total)
+    x = [0.0] * total
     for r, bc in enumerate(basis):
-        x[bc] = T[r, -1]
-    return "optimal", x[:n], float(lp.objective @ x[:n])
+        x[bc] = T[r][-1]
+    x = x[:n]
+    return "optimal", x, math.fsum(c * v for c, v in zip(lp.objective, x))
 
 
 # ---------------------------------------------------------------------------
@@ -390,27 +412,21 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
     marginal equalities and a total-mass equality.  Returns
     ({subset: probability}, cost); raises ValidationError when infeasible.
     """
-    import numpy as np
-
     g = len(ground)
     if g > COUPLING_LP_MAX_GROUND:
         raise ValidationError(
             f"coupling LP limited to |ground| <= {COUPLING_LP_MAX_GROUND}")
     subsets = [frozenset(e for bit, e in enumerate(ground) if mask & (1 << bit))
                for mask in range(1 << g)]
-    costs = np.array([value_of(s) for s in subsets])
-    A = np.zeros((g + 1, len(subsets)))
-    for col, s in enumerate(subsets):
-        for row, e in enumerate(ground):
-            if e in s:
-                A[row, col] = 1.0
-        A[g, col] = 1.0
-    b = np.array([float(marginals[e]) for e in ground] + [float(mass)])
+    costs = [value_of(s) for s in subsets]
+    A = [[1.0 if e in s else 0.0 for s in subsets] for e in ground]
+    A.append([1.0] * len(subsets))
+    b = [float(marginals[e]) for e in ground] + [float(mass)]
     lp = LinearProgram(costs, A, ("=",) * (g + 1), b)
     status, x, value = simplex_solve(lp)
     if status != "optimal":
         raise ValidationError(f"coupling LP {status}: mass below max marginal?")
-    dist = {subsets[c]: float(x[c]) for c in range(len(subsets)) if x[c] > EQ_TOL}
+    dist = {subsets[c]: x[c] for c in range(len(subsets)) if x[c] > EQ_TOL}
     return dist, value
 
 
@@ -432,8 +448,6 @@ class _LPSkeleton:
     __slots__ = ("k", "masks", "costs", "A", "senses", "active", "fs", "cs")
 
     def __init__(self, inst: Instance, k: int):
-        import numpy as np
-
         self.k = k
         self.fs = [a.prob for a in inst.actions]
         self.cs = [a.cost for a in inst.actions]
@@ -441,14 +455,10 @@ class _LPSkeleton:
         self.masks = [sum(c) for r in range(1, len(others) + 1)
                       for c in itertools.combinations(others, r)]
         value = inst.cost_fn.value
-        self.costs = np.array([value(m) for m in self.masks] + [value(1 << k)])
+        self.costs = [value(m) for m in self.masks] + [value(1 << k)]
         self.active = [j for j in range(inst.n) if j != k and self.fs[j] > 0.0]
-        nvar = len(self.masks) + 1
-        A = np.ones((len(self.active) + 1, nvar))
-        masks = np.array(self.masks, dtype=np.int64)
-        for row, j in enumerate(self.active):
-            A[row, :-1] = (masks >> j) & 1
-        self.A = A
+        self.A = [[float(m >> j & 1) for m in self.masks] + [1.0] for j in self.active]
+        self.A.append([1.0] * (len(self.masks) + 1))
         self.senses = (">=",) * len(self.active) + ("<=",)
 
     def rhs(self, alpha: float) -> list[float]:
@@ -462,23 +472,20 @@ def _lp_at(skeleton: _LPSkeleton, alpha: float):
 
     x is the simplex solution, one entry per skeleton column.
     """
-    import numpy as np
-
-    lp = LinearProgram(skeleton.costs, skeleton.A, skeleton.senses,
-                       np.array(skeleton.rhs(alpha)))
+    lp = LinearProgram(skeleton.costs, skeleton.A, skeleton.senses, skeleton.rhs(alpha))
     status, x, value = simplex_solve(lp)
     if status != "optimal":
         return None, math.inf
-    return x, alpha * skeleton.fs[skeleton.k] + float(value)
+    return x, alpha * skeleton.fs[skeleton.k] + value
 
 
 def _scheme_of(inst: Instance, skeleton: _LPSkeleton, alpha: float, x) -> InspectionScheme:
     """The inspection scheme of an `_lp_at` solution x at payment alpha."""
     i = inst.actions[skeleton.k].id
     masks = skeleton.masks
-    dist = [(inst.ids_of(masks[col]), float(x[col]))
+    dist = [(inst.ids_of(masks[col]), x[col])
             for col in range(len(masks)) if x[col] > EQ_TOL]
-    p_i = float(x[-1])
+    p_i = x[-1]
     if p_i > EQ_TOL:
         dist.append((frozenset([i]), p_i))
     # The simplex honors mass <= 1 only within DEFAULT_TOL; rescale the dust away

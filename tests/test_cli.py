@@ -603,6 +603,16 @@ class TestStdoutGolden:
 
 def _command_output(capsys, tmp_path, case) -> bytes:
     """The bytes COMMAND_ARGV[case] writes to stdout, or to its --out file."""
+    files = _command_files(tmp_path)
+    argv = [arg.format(**files) for arg in COMMAND_ARGV[case]]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return files["out"].read_bytes() if "--out" in argv else out.encode()
+
+
+def _command_files(tmp_path) -> dict:
+    """The input files COMMAND_ARGV names, written to tmp_path, by name."""
     inst, scheme, _ = gen_nonic_example()
     files = {name: tmp_path / f"{name}.json" for name in
              ("intro", "sub6", "nonic", "nonic_scheme", "hard7", "out")}
@@ -613,11 +623,7 @@ def _command_output(capsys, tmp_path, case) -> bytes:
     files["nonic_scheme"].write_text(json.dumps(scheme_to_json(scheme)))
     assert main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "2",
                  "--out", str(files["hard7"])]) == 0
-    argv = [arg.format(**files) for arg in COMMAND_ARGV[case]]
-    capsys.readouterr()
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    return files["out"].read_bytes() if "--out" in argv else out.encode()
+    return files
 
 
 class TestRealStdout:
@@ -639,6 +645,19 @@ class TestRealStdout:
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+    @pytest.mark.parametrize("case", ["brute-force-rand", "compare-rand"])
+    def test_lp_oracle_commands_run_without_numpy(self, tmp_path, case):
+        # A child process where `import numpy` fails writes the pinned bytes.
+        argv = [arg.format(**_command_files(tmp_path)) for arg in COMMAND_ARGV[case]]
+        code = ("import sys; sys.modules['numpy'] = None; from icx import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == COMMAND_SHA256[case]
 
 
 class TestConfigPrecedence:
@@ -710,6 +729,14 @@ class TestCheckCostfn:
         code, doc = run(capsys, "check-costfn", intro_file)
         assert code == 0
         assert doc["monotone"] and doc["submodular"] and doc["normalized"]
+
+    def test_large_typed_costs_are_submodular(self, capsys, tmp_path):
+        inst = gen_intro_example().with_cost_fn(costfn.Additive([0.88, 40.0, 22000.0]))
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(instance_to_json(inst)))
+        code, doc = run(capsys, "check-costfn", str(path))
+        assert code == 0
+        assert (doc["submodular"], doc["submodular_witness"]) == (True, None)
 
     def test_hard_instance_not_submodular(self, capsys, tmp_path):
         main(["gen", "--family", "xos-hard", "--k", "7", "--seed", "2",

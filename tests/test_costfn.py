@@ -293,6 +293,7 @@ def _reference_monotone(vals, n):
 
 
 def _reference_submodular(vals, n):
+    tol = costfn.EQ_TOL * max(1.0, max(abs(v) for v in vals))
     for mask in range(1 << n):
         for i in range(n):
             bi = 1 << i
@@ -303,7 +304,7 @@ def _reference_submodular(vals, n):
                 bj = 1 << j
                 if j == i or mask & bj:
                     continue
-                if vals[mask | bj | bi] - vals[mask | bj] > base + costfn.EQ_TOL:
+                if vals[mask | bj | bi] - vals[mask | bj] > base + tol:
                     return False, (mask, i, j)
     return True, None
 
@@ -422,6 +423,17 @@ class TestTables:
         bad = ok[:3] + [math.nextafter(ok[3], math.inf)]
         assert check_submodular(ExplicitTable(bad), 2) == \
             (False, (0, 0, 1))
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_tolerance_scales_with_large_values(self, mode):
+        # (22000 + 0.88) - 22000 rounds 1.0e-12 away from 0.88: within
+        # EQ_TOL of the values compared, though not within EQ_TOL itself.
+        fn = Additive([0.88, 40.0, 22000.0])
+        assert (fn.value(0b101) - fn.value(0b100)) - 0.88 > costfn.EQ_TOL
+        assert check_submodular(fn, 3, mode=mode) == (True, None)
+        # A real violation at that scale still fails, with its witness.
+        ok, witness = check_submodular(ExplicitTable([0.0, 1e4, 1e4, 3e4]), 2, mode=mode)
+        assert not ok and witness in [(0, 0, 1), (0, 1, 0)]
 
     def test_n_below_fn_n_checks_the_prefix(self, rng):
         for _ in range(30):

@@ -44,8 +44,69 @@ class TestSimplex:
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_size_limits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^LP size 1x5000 exceeds desk-scale limits$"):
             LinearProgram(np.zeros(5000), np.zeros((1, 5000)), ("<=",), [1.0])
+        m = oracle.MAX_LP_ROWS + 1
+        with pytest.raises(ValueError, match=rf"^LP size {m}x1 exceeds desk-scale limits$"):
+            LinearProgram([0.0], [[1.0]] * m, ("<=",) * m, [1.0] * m)
+
+    # Beale (1955): Dantzig's rule alone cycles on this LP.
+    BEALE_C = [-3 / 4, 150.0, -1 / 50, 6.0]
+    BEALE_A = [[1 / 4, -60.0, -1 / 25, 9.0], [1 / 2, -90.0, -1 / 50, 3.0], [0.0, 0.0, 1.0, 0.0]]
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Counts pivots, and fails a solve that takes 100: a cycling one."""
+        count = []
+        pivot = oracle._pivot
+
+        def counted(T, row, col):
+            count.append(1)
+            assert len(count) < 100, "the simplex cycles"
+            pivot(T, row, col)
+
+        monkeypatch.setattr(oracle, "_pivot", counted)
+        return count
+
+    def test_beale_cycling_lp(self, pivots):
+        status, x, value = simplex_solve(
+            LinearProgram(self.BEALE_C, self.BEALE_A, ("<=",) * 3, [0.0, 0.0, 1.0]))
+        assert status == "optimal"
+        assert value == pytest.approx(-1 / 20, abs=1e-12)
+        assert x == pytest.approx([1 / 25, 0.0, 1.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("rows, expected", [(3, ("optimal", 0.0)), (2, ("unbounded", None))])
+    def test_fully_degenerate_lp_terminates(self, pivots, rows, expected):
+        # Every right-hand side is 0, so every pivot is degenerate: with
+        # x3 <= 0 the origin is optimal, without it x3 grows unboundedly.
+        status, _, value = simplex_solve(LinearProgram(
+            self.BEALE_C, self.BEALE_A[:rows], ("<=",) * rows, [0.0] * rows))
+        assert (status, value) == expected
+        assert pivots
+
+    def test_accepts_lists_and_arrays(self):
+        c, A, b = self.BEALE_C, self.BEALE_A, [0.0, 0.0, 1.0]
+        from_lists = LinearProgram(c, A, ("<=",) * 3, b)
+        from_arrays = LinearProgram(np.array(c), np.array(A), ("<=",) * 3, np.array(b))
+        for lp in (from_lists, from_arrays):
+            assert type(lp.objective) is list and type(lp.b) is list
+            assert all(type(row) is list for row in lp.A)
+            assert all(type(v) is float for row in [lp.objective, lp.b, *lp.A] for v in row)
+        assert from_lists == from_arrays
+        assert simplex_solve(from_lists) == simplex_solve(from_arrays)
+
+    @pytest.mark.parametrize("where", ["objective", "A", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_rejects_non_finite_entries(self, where, bad, kind):
+        parts = {"objective": [1.0, 2.0], "A": [[1.0, 1.0], [0.0, 1.0]], "b": [1.0, 0.5]}
+        if where == "A":
+            parts["A"][1][0] = bad
+        else:
+            parts[where][0] = bad
+        with pytest.raises(ValueError, match=r"^LP entries must be finite$"):
+            LinearProgram(kind(parts["objective"]), kind(parts["A"]), ("<=", "="),
+                          kind(parts["b"]))
 
     def test_against_scipy_linprog(self, rng):
         # Random feasible bounded LPs with mixed senses: rows are built
@@ -85,7 +146,7 @@ class TestSimplex:
             assert status == "optimal"
             assert value == pytest.approx(ref.fun, abs=1e-8)
             assert float(np.dot(c, x)) == pytest.approx(value, abs=1e-9)
-            assert (x >= -1e-9).all()
+            assert all(v >= -1e-9 for v in x)
             for row, rhs, sense in zip(A, b, senses):
                 lhs = float(np.dot(row, x))
                 assert {"<=": lhs <= rhs + 1e-8, ">=": lhs >= rhs - 1e-8,

@@ -1,5 +1,5 @@
-"""Startup cost: numpy loads only when an LP oracle runs, OpenSSL never, and
-fractions and decimal only for query-experiment.
+"""Startup cost: numpy never loads, OpenSSL never, and fractions and decimal
+only for query-experiment.
 
 Each check runs in a fresh interpreter, since numpy stays in sys.modules
 once anything in the test process has imported it.
@@ -140,9 +140,11 @@ def test_commands_do_not_load_fractions_or_decimal(tmp_path, files, argv):
 
 
 def test_brute_force_loads_numpy_on_use(tmp_path, files):
+    # The LP oracle runs on Python lists, so not even it loads numpy.
     inst, _ = files
-    result = _cli(["brute-force", "--mode", "rand", inst], tmp_path)
-    assert result == {"code": 0, "numpy": True}
+    for command in ("brute-force", "compare"):
+        result = _cli([command, "--mode", "rand", inst], tmp_path)
+        assert result == {"code": 0, "numpy": False}
 
 
 def test_public_names_pinned():
