@@ -13,16 +13,14 @@ from .costfn import (Additive, BudgetAdditive, ConcaveCardinality, CountingOracl
                      ExplicitTable, SetFunction, WeightedCoverage, XOSClauses,
                      check_monotone, check_submodular, check_xos_pointwise,
                      demand_default)
-from .deterministic import DetCandidate, solve_deterministic
+from .deterministic import solve_deterministic
 from .model import (Action, InspectionScheme, Instance, ValidationError,
                     agent_utility, best_responses, deterministic_scheme,
-                    expected_inspection_cost, is_IC, marginal, normalize_scheme,
-                    principal_utility)
-from .oracle import (LinearProgram, brute_force_deterministic,
-                     brute_force_randomized, lp_min_cost_given_marginals,
-                     no_inspection_best, simplex_solve)
-from .randomized import (NestedDistribution, SubmodularityError, eta,
-                         nested_min_cost_distribution, solve_randomized)
+                    expected_inspection_cost, is_IC, marginal, principal_utility)
+from .oracle import (brute_force_deterministic, brute_force_randomized,
+                     lp_min_cost_given_marginals, no_inspection_best, simplex_solve)
+from .randomized import (SubmodularityError, nested_min_cost_distribution,
+                         solve_randomized)
 from .reports import SolveReport, __version__
 
 __all__ = [name for name in dir() if not name.startswith("_")]

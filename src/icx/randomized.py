@@ -9,7 +9,12 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
     never worth inspecting.
 2.  The payment axis is cut at the crossing points of the eta curves, so
     their sort order is fixed inside each interval (it never depends on p_i,
-    which shifts all curves equally).
+    which shifts all curves equally).  Two curves cross at most once, so one
+    sweep over the sorted crossings derives each interval's order from its
+    neighbour's by swapping the pairs that cross between them.  Each
+    interval also lists, per position of its order, the payments inside it
+    where that rival's curve reaches 0 or 1; a split whose two boundary
+    rivals list none is a single alpha-piece.
 3.  Within an interval, for each split point k (how many eta's are <= 0) the
     minimum-cost distribution with the implied marginals is a nested chain
     (see nested_min_cost_distribution), which telescopes the objective into
@@ -144,9 +149,24 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
     h_x(alpha) = a + b/alpha the p_i level at which eta_x hits zero, h0 the
     payment where h_x = 0 (None when f(x) = f(ii)) and h1 the payment where
     h_x = 1.  `orders[ell]` sorts the constrained rivals by ascending eta
-    inside (cutpoints[ell], cutpoints[ell+1]); the order is the same at every
+    inside (cutpoints[ell], cutpoints[ell+1]), that is by the key
+    (h_x(mid), x) at the interval's midpoint; the order is the same at every
     payment in the open interval and for every p_i.  Actions with f = 0
     carry no constraint and are never inspected.
+
+    Two rivals' curves cross at most once, so one sweep gives every order.
+    Each crossing in (0, 1) is an event that keeps its pair of rivals; a
+    crossing more than EQ_TOL inside (0, 1) is also a cutpoint, merged into
+    the previous cutpoint when within EQ_TOL of it.  Interval 0 sorts the
+    rivals at its midpoint.  Each later interval starts from its
+    neighbour's order and re-sorts, by the key at its own midpoint, only
+    the pairs of the events before that midpoint whose order has not yet
+    flipped: in general position one adjacent pair, swapped in place; at a
+    tie or at merged cutpoints a block (`_settle`).  A pair stays pending
+    until it flips, and an event before the next midpoint whose pair is
+    already out of key order at this one joins early, so the orders equal a
+    full sort at every midpoint even where rounding moves a flip to the
+    neighbouring interval.
     """
     fi, ci = f[ii], c[ii]
     curves: list[Optional[tuple]] = [None] * len(f)
@@ -156,7 +176,7 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
             active.append(x)
             curves[x] = (1.0 - fi / fx, (ci - cx) / fx,
                          None if fi == fx else (ci - cx) / (fi - fx), (ci - cx) / fi)
-    pts = []
+    events = []
     for s, x in enumerate(active):
         fx, cx = f[x], c[x]
         for y in active[s + 1:]:
@@ -164,20 +184,96 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
             if fx == fy:
                 continue
             alpha = ((ci - cx) * fy - (ci - c[y]) * fx) / ((fy - fx) * fi)
-            if EQ_TOL < alpha < 1.0 - EQ_TOL:
-                pts.append(alpha)
-    pts.sort()
+            if 0.0 < alpha < 1.0:
+                events.append((alpha, x, y))
+    events.sort()
     cutpoints = [0.0]
-    for p in pts:
-        if p - cutpoints[-1] > EQ_TOL:
-            cutpoints.append(p)
+    for alpha, _, _ in events:
+        if EQ_TOL < alpha < 1.0 - EQ_TOL and alpha - cutpoints[-1] > EQ_TOL:
+            cutpoints.append(alpha)
     cutpoints.append(1.0)
 
-    orders = []
-    for ell in range(len(cutpoints) - 1):
-        mid = 0.5 * (cutpoints[ell] + cutpoints[ell + 1])
-        orders.append(sorted(active, key=lambda x: (curves[x][0] + curves[x][1] / mid, x)))
+    mids = [0.5 * (lo + hi) for lo, hi in zip(cutpoints, cutpoints[1:])]
+    mid = mids[0]
+    order = sorted(active, key=lambda x: (curves[x][0] + curves[x][1] / mid, x))
+    orders = [order]
+    pos = [0] * len(f)
+    for t, x in enumerate(order):
+        pos[x] = t
+    a = [0.0] * len(f)
+    b = [0.0] * len(f)
+    for x in active:
+        a[x], b[x] = curves[x][:2]
+    # Event pairs not yet flipped: after its crossing x precedes y iff a[x] < a[y].
+    pending = []
+    e, n_e, n_mid = 0, len(events), len(mids)
+    for ell in range(1, n_mid):
+        mid = mids[ell]
+        while e < n_e and events[e][0] < mid:
+            _, x, y = events[e]
+            e += 1
+            if (pos[x] < pos[y]) != (a[x] < a[y]):
+                pending.append((x, y))
+        if len(pending) == 1:
+            x, y = pending[0]
+            s, t = pos[x], pos[y]
+            if s > t:
+                x, y, s, t = y, x, t, s
+            if t == s + 1:
+                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
+                if hy < hx or hy == hx and y < x:
+                    order = order[:]
+                    order[s], order[t] = y, x
+                    pos[x], pos[y] = t, s
+                    if a[y] < a[x]:
+                        pending = []
+        elif pending:
+            order = _settle(order, pending, pos, a, b, mid)
+        # An event before the next midpoint joins now if rounding already puts
+        # its pair out of key order here.
+        ahead = mids[ell + 1] if ell + 1 < n_mid else 1.0
+        k = e
+        while k < n_e and events[k][0] < ahead:
+            _, x, y = events[k]
+            k += 1
+            s, t = pos[x], pos[y]
+            if s > t:
+                x, y, s, t = y, x, t, s
+            if t == s + 1:
+                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
+                if hy < hx or hy == hx and y < x:
+                    pending += [(x, y) for _, x, y in events[e:k]]
+                    e = k
+                    order = _settle(order, pending, pos, a, b, mid)
+        orders.append(order)
     return curves, cutpoints, orders
+
+
+def _settle(order: list[int], pending: list[tuple[int, int]], pos: list[int],
+            a: list[float], b: list[float], mid: float) -> list[int]:
+    """A copy of `order` with the pending pairs bubbled into key order at mid.
+
+    Swaps adjacent pending pairs out of (a + b/mid, index) order until none
+    is left, updating `pos`, then drops the pairs that have flipped from
+    `pending`.  The result is the full sort at mid whenever every pair out of
+    order is pending.
+    """
+    order = order[:]
+    swapped = True
+    while swapped:
+        swapped = False
+        for x, y in pending:
+            s, t = pos[x], pos[y]
+            if s > t:
+                x, y, s, t = y, x, t, s
+            if t == s + 1:
+                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
+                if hy < hx or hy == hx and y < x:
+                    order[s], order[t] = y, x
+                    pos[x], pos[y] = t, s
+                    swapped = True
+    pending[:] = [(x, y) for x, y in pending if (pos[x] < pos[y]) != (a[x] < a[y])]
+    return order
 
 
 class _Values(dict):
@@ -200,9 +296,12 @@ class _Interval:
 
     `lo`..`hi` is the interval's payment span above break-even c(i)/f(i).
     For its eta order (action indices `order`): `curves[t]` is order[t]'s
-    curve from `_partition`, `w[t]` = v({order[t], ..., order[-1]}) with
-    w[len] = 0, `tail[t]` = (c, f, w[t] - w[t+1]) of order[t] and `bdw[t]` =
-    b * (w[t] - w[t+1]).  The last three are read from the end of the order
+    curve from `_partition`, `cuts[t]` holds the payments strictly inside
+    (lo, hi) where that curve reaches h = 0 or h = 1 (mostly none), so split
+    k cuts its span only at cuts[k-1] and cuts[k]; `w[t]` =
+    v({order[t], ..., order[-1]}) with w[len] = 0, `tail[t]` =
+    (c, f, w[t] - w[t+1]) of order[t] and `bdw[t]` = b * (w[t] - w[t+1]).
+    The last three are read from the end of the order
     (`fill`) and hold None above position `top`; `mask` is the set of
     order[top:].  `f` and `c` hold every action's probability and cost by
     index, and `values` is the solve's memo.
@@ -216,6 +315,7 @@ class _Interval:
     ci: float
     order: list[int]
     curves: list[tuple]
+    cuts: list[tuple[float, ...]]
     f: list[float]
     c: list[float]
     values: _Values
@@ -253,9 +353,12 @@ def _intervals(inst: Instance, ii: int, values: _Values):
         hi = cutpoints[ell + 1]
         if lo > hi + EQ_TOL:
             continue
+        lo = min(lo, hi)
+        ranked = [curves[x] for x in order]
+        cuts = [tuple(h for h in curve[2:] if h is not None and lo < h < hi)
+                for curve in ranked]
         n_a = len(order)
-        yield _Interval(ii, ell, min(lo, hi), hi, fi, ci, order,
-                        [curves[x] for x in order], f, c, values,
+        yield _Interval(ii, ell, lo, hi, fi, ci, order, ranked, cuts, f, c, values,
                         [None] * n_a + [0.0], [None] * n_a, [None] * n_a, n_a)
 
 
@@ -283,21 +386,20 @@ def solve_subproblem(ctx: _Interval, k: int) -> Optional[tuple[float, float, flo
     if not 0 <= k <= n_a:
         raise ValidationError(f"split index k={k} outside 0..{n_a}")
     lo, hi, fi = ctx.lo, ctx.hi, ctx.fi
-    # The boundary curves: p_i >= h_{pi(k)} and p_i <= h_{pi(k+1)}.
-    below = ctx.curves[k - 1] if k >= 1 else None
-    above = ctx.curves[k] if k < n_a else None
+    # The boundary curves: p_i >= h_{pi(k)} and p_i <= h_{pi(k+1)}, and the
+    # payments inside the span where they cross 0 or 1.
+    below, cuts_below = (ctx.curves[k - 1], ctx.cuts[k - 1]) if k >= 1 else (None, ())
+    above, cuts_above = (ctx.curves[k], ctx.cuts[k]) if k < n_a else (None, ())
 
-    # Cut the alpha range where the boundary curves cross 0 or 1; branch
-    # formulas and feasibility signs are constant on each resulting piece.
-    cuts = {lo, hi}
-    for curve in (below, above):
-        if curve is not None:
-            for x in curve[2:]:
-                if x is not None and lo < x < hi:
-                    cuts.add(x)
-    grid = sorted(cuts)
+    # Cut the alpha range at those payments; branch formulas and feasibility
+    # signs are constant on each resulting piece.
+    if cuts_below or cuts_above:
+        grid = sorted({lo, hi, *cuts_below, *cuts_above})
+        spans = zip(grid, grid[1:])
+    else:
+        spans = ((lo, hi),)
     pieces = []
-    for a0, a1 in zip(grid, grid[1:]) if len(grid) > 1 else [(lo, hi)]:
+    for a0, a1 in spans:
         mid = 0.5 * (a0 + a1)
         h_low, h_high = _level(below, mid, -math.inf), _level(above, mid, math.inf)
         if not (h_low > 1.0 + EQ_TOL or h_high < -EQ_TOL):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icx import costfn
+from icx import costfn, randomized
 from icx.deterministic import solve_deterministic
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import Action, Instance, ValidationError, is_IC, marginal
@@ -247,6 +247,188 @@ class TestSubproblem:
                             objective, alpha, p_i = res
                             assert objective == subproblem_objective(
                                 inst, a.id, orders[ctx.ell], k, alpha, p_i)
+
+
+# ---------------------------------------------------------------------------
+# The crossing-event sweep and the per-interval cut lists, against the
+# per-interval midpoint sort and the per-split cut grid they replaced
+# ---------------------------------------------------------------------------
+
+
+def midpoint_partition(f, c, ii):
+    """(curves, cutpoints, orders) with every interval's order sorted afresh
+    at its midpoint: the partition as computed before the event sweep."""
+    fi, ci = f[ii], c[ii]
+    curves = [None] * len(f)
+    active = []
+    for x, (fx, cx) in enumerate(zip(f, c)):
+        if x != ii and fx > 0.0:
+            active.append(x)
+            curves[x] = (1.0 - fi / fx, (ci - cx) / fx,
+                         None if fi == fx else (ci - cx) / (fi - fx), (ci - cx) / fi)
+    pts = []
+    for s, x in enumerate(active):
+        fx, cx = f[x], c[x]
+        for y in active[s + 1:]:
+            fy = f[y]
+            if fx == fy:
+                continue
+            alpha = ((ci - cx) * fy - (ci - c[y]) * fx) / ((fy - fx) * fi)
+            if costfn.EQ_TOL < alpha < 1.0 - costfn.EQ_TOL:
+                pts.append(alpha)
+    pts.sort()
+    cutpoints = [0.0]
+    for p in pts:
+        if p - cutpoints[-1] > costfn.EQ_TOL:
+            cutpoints.append(p)
+    cutpoints.append(1.0)
+    orders = []
+    for ell in range(len(cutpoints) - 1):
+        mid = 0.5 * (cutpoints[ell] + cutpoints[ell + 1])
+        orders.append(sorted(active, key=lambda x: (curves[x][0] + curves[x][1] / mid, x)))
+    return curves, cutpoints, orders
+
+
+def grid_spans(ctx, k):
+    """The alpha-pieces of split k as the screen cut them before the cut
+    lists: {lo, hi} and each boundary curve's 0/1 payments inside, sorted."""
+    lo, hi = ctx.lo, ctx.hi
+    below = ctx.curves[k - 1] if k >= 1 else None
+    above = ctx.curves[k] if k < len(ctx.order) else None
+    cuts = {lo, hi}
+    for curve in (below, above):
+        if curve is not None:
+            for x in curve[2:]:
+                if x is not None and lo < x < hi:
+                    cuts.add(x)
+    grid = sorted(cuts)
+    return list(zip(grid, grid[1:])) if len(grid) > 1 else [(lo, hi)]
+
+
+def near_coincident_instance(rng, trial):
+    """Suggestion "i" (f = 0.9, c = 0.3) and 4-8 rivals whose curves all pass
+    through one point (alpha*, h*), their costs nudged by up to 10**-11.5:
+    the crossings land within a few EQ_TOL of each other, so cutpoints
+    merge, some intervals are narrower than 1e-11, and blocks of rivals
+    swap at one cutpoint."""
+    fi, ci = 0.9, 0.3
+    alpha, h = rng.uniform(0.45, 0.55), rng.uniform(0.1, 0.3)
+    actions = [Action("bot", 0.0, 0.0), Action("i", ci, fi)]
+    for idx in range(4 + trial % 5):
+        fx = rng.uniform(0.45, 1.0)
+        nudge = rng.uniform(-1.0, 1.0) * 10.0 ** -rng.uniform(11.5, 14)
+        cx = ci - alpha * (fi - fx * (1.0 - h)) + nudge
+        actions.append(Action(f"r{idx}", max(cx, 0.0), fx))
+    return Instance(tuple(actions), "bot", costfn.Additive(
+        [rng.uniform(0.0, 0.5) for _ in actions]))
+
+
+# Near-coincident instances (probabilities, costs; suggestion "i") where a
+# rounded key moves a pair's flip to the neighbouring interval: in
+# "flip-late" rivals r1 and r2 tie at the midpoint of the interval their
+# crossing falls in, and in "flip-early" a pair is already out of order at
+# the midpoint before its crossing's interval.
+NEAR_TIES = {
+    "flip-late": (
+        [0.0, 0.9, 0.4777958072526282, 0.7712528205298668, 0.7112332409994244,
+         0.6271396812500889, 0.6971219627834507],
+        [0.0, 0.3, 0.05631597394681256, 0.17560659023887665, 0.15120856154012452,
+         0.11702443195787661, 0.14547231057750812]),
+    "flip-early": (
+        [0.0, 0.9, 0.8005138922288564, 0.515183890876941, 0.8806620458006579,
+         0.6298662367230852, 0.6517253656592935],
+        [0.0, 0.3, 0.17407026655815463, 0.06041965747394794, 0.2059943068875359,
+         0.10609911072036103, 0.1148058828996139]),
+}
+
+
+def near_tie_instance(label):
+    """The NEAR_TIES instance `label`: actions "bot", "i", "r1", "r2", ...,
+    each with additive cost weight 0.1."""
+    probs, costs = NEAR_TIES[label]
+    actions = [Action("bot" if t == 0 else "i" if t == 1 else f"r{t - 1}", cost, prob)
+               for t, (prob, cost) in enumerate(zip(probs, costs))]
+    return Instance(tuple(actions), "bot", costfn.Additive([0.1] * len(actions)))
+
+
+def sweep_battery():
+    """General-position instances at n = 3..20 (the submodular type cycling
+    with n), tied instances at n = 2..7, scaled rivals at 1e-3..1e-11,
+    near-coincident cutpoints, and the two NEAR_TIES instances."""
+    for n in range(3, 21):
+        yield gp_instance(random.Random(7000 * n), n, GOLDEN_KINDS[n % 4])
+    rng = random.Random(2301)
+    for trial in range(120):
+        yield random_instance(rng, 2 + trial % 6, fn_kind="submodular")
+    for trial in range(90):
+        scale = 3 + trial % 9
+        yield scaled_rivals_instance(rng, trial, scale, scale)
+    for trial in range(150):
+        yield near_coincident_instance(rng, trial)
+    for label in NEAR_TIES:
+        yield near_tie_instance(label)
+
+
+def eligible(inst):
+    return [ii for ii, a in enumerate(inst.actions) if a.prob > a.cost > 0.0]
+
+
+class TestSweepAndCutLists:
+    def test_orders_equal_midpoint_sort(self):
+        suggestions = 0
+        for inst in sweep_battery():
+            f = [a.prob for a in inst.actions]
+            c = [a.cost for a in inst.actions]
+            for ii in eligible(inst):
+                assert _partition(f, c, ii) == midpoint_partition(f, c, ii)
+                suggestions += 1
+        assert suggestions > 1000
+
+    @pytest.mark.parametrize("label", sorted(NEAR_TIES))
+    def test_near_tie_flips_follow_the_midpoint_sort(self, label):
+        inst = near_tie_instance(label)
+        f = [a.prob for a in inst.actions]
+        c = [a.cost for a in inst.actions]
+        curves, cutpoints, orders = _partition(f, c, 1)
+        assert len(cutpoints) < 11  # 10 crossings in (0, 1), some merged
+        assert (curves, cutpoints, orders) == midpoint_partition(f, c, 1)
+
+    def test_pieces_equal_cut_grid(self, monkeypatch):
+        # The screen evaluates both boundary curves at each piece's midpoint
+        # before the split reads any cost (`fill`), so the recorded payments
+        # up to the first fill are the pieces' midpoints, twice each.
+        calls = []
+        level, fill = randomized._level, randomized._Interval.fill
+
+        def recorded_level(curve, alpha, missing):
+            calls.append(alpha)
+            return level(curve, alpha, missing)
+
+        def recorded_fill(ctx, k):
+            calls.append(None)
+            fill(ctx, k)
+
+        monkeypatch.setattr(randomized, "_level", recorded_level)
+        monkeypatch.setattr(randomized._Interval, "fill", recorded_fill)
+        single = multiple = 0
+        for inst in sweep_battery():
+            for ii in eligible(inst):
+                for ctx in intervals(inst, ii):
+                    for t, curve in enumerate(ctx.curves):
+                        assert sorted(ctx.cuts[t]) == sorted(
+                            x for x in curve[2:] if x is not None and ctx.lo < x < ctx.hi)
+                    for k in range(len(ctx.order) + 1):
+                        spans = grid_spans(ctx, k)
+                        calls.clear()
+                        solve_subproblem(ctx, k)
+                        screened = calls[:calls.index(None)] if None in calls else calls
+                        assert screened[::2] == screened[1::2]
+                        assert screened[::2] == [0.5 * (a0 + a1) for a0, a1 in spans]
+                        if len(spans) == 1:
+                            single += 1
+                        else:
+                            multiple += 1
+        assert single > 0 and multiple > 0
 
 
 class TestAssemble:

@@ -47,16 +47,15 @@ BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha2
 
 PUBLIC_NAMES = [
     "Action", "Additive", "BudgetAdditive", "ConcaveCardinality", "CountingOracle",
-    "DetCandidate", "ExplicitTable", "InspectionScheme", "Instance", "LinearProgram",
-    "NestedDistribution", "SetFunction", "SolveReport", "SubmodularityError",
-    "ValidationError", "WeightedCoverage", "XOSClauses", "agent_utility",
-    "best_responses", "brute_force_deterministic", "brute_force_randomized",
-    "check_monotone", "check_submodular", "check_xos_pointwise", "costfn",
-    "demand_default", "deterministic", "deterministic_scheme", "eta",
-    "expected_inspection_cost", "is_IC", "lp_min_cost_given_marginals", "marginal",
-    "model", "nested_min_cost_distribution", "no_inspection_best", "normalize_scheme",
-    "oracle", "principal_utility", "randomized", "reports", "serialization",
-    "simplex_solve", "solve_deterministic", "solve_randomized",
+    "ExplicitTable", "InspectionScheme", "Instance", "SetFunction", "SolveReport",
+    "SubmodularityError", "ValidationError", "WeightedCoverage", "XOSClauses",
+    "agent_utility", "best_responses", "brute_force_deterministic",
+    "brute_force_randomized", "check_monotone", "check_submodular",
+    "check_xos_pointwise", "costfn", "demand_default", "deterministic",
+    "deterministic_scheme", "expected_inspection_cost", "is_IC",
+    "lp_min_cost_given_marginals", "marginal", "model", "nested_min_cost_distribution",
+    "no_inspection_best", "oracle", "principal_utility", "randomized", "reports",
+    "serialization", "simplex_solve", "solve_deterministic", "solve_randomized",
 ]
 
 
