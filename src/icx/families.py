@@ -33,6 +33,11 @@ def _is_prime(k: int) -> bool:
     return True
 
 
+def _hidden_size(k: int, m_override: Optional[int]) -> int:
+    """|T| of the hidden-shift family: m_override if given, else ceil(4k/5)."""
+    return m_override if m_override is not None else math.ceil(4 * k / 5)
+
+
 @dataclass(frozen=True)
 class HardParams:
     """Parameters of the hidden-shift family: prime k > 5 and T of size m.
@@ -66,7 +71,7 @@ class HardParams:
 
     @property
     def m(self) -> int:
-        return self.m_override if self.m_override is not None else math.ceil(4 * self.k / 5)
+        return _hidden_size(self.k, self.m_override)
 
     @property
     def default_size(self) -> bool:
@@ -75,7 +80,7 @@ class HardParams:
 
 def random_hard_params(k: int, seed: int, m_override: Optional[int] = None) -> HardParams:
     rng = random.Random(seed)
-    m = m_override if m_override is not None else math.ceil(4 * k / 5)
+    m = _hidden_size(k, m_override)
     T = frozenset(rng.sample(range(1, k + 1), m))
     return HardParams(k, T, m_override)
 
@@ -256,8 +261,7 @@ def demand_vt(params: HardParams, prices: Sequence[float],
         rest_candidates.add(1 << (3 + j))
 
     by_price = sorted(range(k), key=lambda j: (prices[3 + j], j))
-    msize = [_kmask_to_rest(c) for c in
-             _cheapest_combinations(prices, k, m, k + 1)]
+    msize = [kmask << 3 for kmask in _cheapest_combinations(prices, k, m, k + 1)]
     rest_candidates.update(msize)
     if m + 1 <= k:
         rest_candidates.add(sum(1 << (3 + j) for j in by_price[:m + 1]))
@@ -270,10 +274,6 @@ def demand_vt(params: HardParams, prices: Sequence[float],
         if best is None or key > best[0]:
             best = (key, mask)
     return best[1]
-
-
-def _kmask_to_rest(kmask: int) -> int:
-    return kmask << 3
 
 
 def _cheapest_combinations(prices: Sequence[float], k: int, m: int, count: int):
@@ -321,7 +321,7 @@ def query_experiment(k: int, trials: int, seed: int,
 
     if trials < 1:
         raise ValidationError("need at least one trial")
-    m = m_override if m_override is not None else math.ceil(4 * k / 5)
+    m = _hidden_size(k, m_override)
     probe = HardParams(k, frozenset(range(1, m + 1)), m_override)  # validates k, m
 
     classes: dict[int, list[int]] = {}

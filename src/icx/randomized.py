@@ -9,12 +9,11 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
     never worth inspecting.
 2.  The payment axis is cut at the crossing points of the eta curves, so
     their sort order is fixed inside each interval (it never depends on p_i,
-    which shifts all curves equally).  Two curves cross at most once, so one
-    sweep over the sorted crossings derives each interval's order from its
-    neighbour's by swapping the pairs that cross between them.  Each
-    interval also lists, per position of its order, the payments inside it
-    where that rival's curve reaches 0 or 1; a split whose two boundary
-    rivals list none is a single alpha-piece.
+    which shifts all curves equally); each interval that reaches
+    break-even sorts the rivals at its midpoint.  It also lists, per
+    position of its order, the payments inside it where that rival's curve
+    reaches 0 or 1; a split whose two boundary rivals list none is a single
+    alpha-piece.
 3.  Within an interval, for each split point k (how many eta's are <= 0) the
     minimum-cost distribution with the implied marginals is a nested chain
     (see nested_min_cost_distribution), which telescopes the objective into
@@ -26,9 +25,9 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
     most n+1 sets and re-verified IC.
 
 The search runs on action indices and bitmasks, and each rival's curve
-h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero, is settled
-once per suggestion (`_partition`); ids enter only when the winner is
-assembled.  `eta` is the id-based form of the same bound.
+h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero, is
+computed once per suggestion (`_partition`); ids enter only when the winner
+is assembled.  `eta` is the id-based form of the same bound.
 
 Inspection costs are read lazily, through one memo (mask -> v) per solve
 that every suggestion shares.  An interval reads the values of its eta
@@ -142,31 +141,18 @@ def nested_min_cost_distribution(ground: Sequence[Hashable], marginals: Mapping,
 
 
 def _partition(f: Sequence[float], c: Sequence[float], ii: int):
-    """Rival curves, payment cutpoints and per-interval orders for suggestion ii.
+    """Rival curves, constrained rivals and payment cutpoints of suggestion ii.
 
-    Returns (curves, cutpoints, orders).  `curves[x]` is None unless x is a
-    constrained rival (x != ii, f(x) > 0); then it is (a, b, h0, h1) with
-    h_x(alpha) = a + b/alpha the p_i level at which eta_x hits zero, h0 the
-    payment where h_x = 0 (None when f(x) = f(ii)) and h1 the payment where
-    h_x = 1.  `orders[ell]` sorts the constrained rivals by ascending eta
-    inside (cutpoints[ell], cutpoints[ell+1]), that is by the key
-    (h_x(mid), x) at the interval's midpoint; the order is the same at every
-    payment in the open interval and for every p_i.  Actions with f = 0
-    carry no constraint and are never inspected.
-
-    Two rivals' curves cross at most once, so one sweep gives every order.
-    Each crossing in (0, 1) is an event that keeps its pair of rivals; a
-    crossing more than EQ_TOL inside (0, 1) is also a cutpoint, merged into
-    the previous cutpoint when within EQ_TOL of it.  Interval 0 sorts the
-    rivals at its midpoint.  Each later interval starts from its
-    neighbour's order and re-sorts, by the key at its own midpoint, only
-    the pairs of the events before that midpoint whose order has not yet
-    flipped: in general position one adjacent pair, swapped in place; at a
-    tie or at merged cutpoints a block (`_settle`).  A pair stays pending
-    until it flips, and an event before the next midpoint whose pair is
-    already out of key order at this one joins early, so the orders equal a
-    full sort at every midpoint even where rounding moves a flip to the
-    neighbouring interval.
+    Returns (curves, active, cutpoints).  `active` lists the constrained
+    rivals (x != ii, f(x) > 0) by ascending index; actions with f = 0 carry
+    no constraint and are never inspected.  `curves[x]` is None unless x is
+    active; then it is (a, b, h0, h1) with h_x(alpha) = a + b/alpha the p_i
+    level at which eta_x hits zero, h0 the payment where h_x = 0 (None when
+    f(x) = f(ii)) and h1 the payment where h_x = 1.  `cutpoints` runs from
+    0 to 1 through every crossing of two curves more than EQ_TOL inside
+    (0, 1), a crossing within EQ_TOL of the previous cutpoint merged into
+    it; two curves cross at most once, so the eta order is the same at
+    every payment inside an interval (`_eta_order`).
     """
     fi, ci = f[ii], c[ii]
     curves: list[Optional[tuple]] = [None] * len(f)
@@ -176,7 +162,7 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
             active.append(x)
             curves[x] = (1.0 - fi / fx, (ci - cx) / fx,
                          None if fi == fx else (ci - cx) / (fi - fx), (ci - cx) / fi)
-    events = []
+    crossings = []
     for s, x in enumerate(active):
         fx, cx = f[x], c[x]
         for y in active[s + 1:]:
@@ -184,96 +170,24 @@ def _partition(f: Sequence[float], c: Sequence[float], ii: int):
             if fx == fy:
                 continue
             alpha = ((ci - cx) * fy - (ci - c[y]) * fx) / ((fy - fx) * fi)
-            if 0.0 < alpha < 1.0:
-                events.append((alpha, x, y))
-    events.sort()
+            if EQ_TOL < alpha < 1.0 - EQ_TOL:
+                crossings.append(alpha)
+    crossings.sort()
     cutpoints = [0.0]
-    for alpha, _, _ in events:
-        if EQ_TOL < alpha < 1.0 - EQ_TOL and alpha - cutpoints[-1] > EQ_TOL:
+    for alpha in crossings:
+        if alpha - cutpoints[-1] > EQ_TOL:
             cutpoints.append(alpha)
     cutpoints.append(1.0)
-
-    mids = [0.5 * (lo + hi) for lo, hi in zip(cutpoints, cutpoints[1:])]
-    mid = mids[0]
-    order = sorted(active, key=lambda x: (curves[x][0] + curves[x][1] / mid, x))
-    orders = [order]
-    pos = [0] * len(f)
-    for t, x in enumerate(order):
-        pos[x] = t
-    a = [0.0] * len(f)
-    b = [0.0] * len(f)
-    for x in active:
-        a[x], b[x] = curves[x][:2]
-    # Event pairs not yet flipped: after its crossing x precedes y iff a[x] < a[y].
-    pending = []
-    e, n_e, n_mid = 0, len(events), len(mids)
-    for ell in range(1, n_mid):
-        mid = mids[ell]
-        while e < n_e and events[e][0] < mid:
-            _, x, y = events[e]
-            e += 1
-            if (pos[x] < pos[y]) != (a[x] < a[y]):
-                pending.append((x, y))
-        if len(pending) == 1:
-            x, y = pending[0]
-            s, t = pos[x], pos[y]
-            if s > t:
-                x, y, s, t = y, x, t, s
-            if t == s + 1:
-                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
-                if hy < hx or hy == hx and y < x:
-                    order = order[:]
-                    order[s], order[t] = y, x
-                    pos[x], pos[y] = t, s
-                    if a[y] < a[x]:
-                        pending = []
-        elif pending:
-            order = _settle(order, pending, pos, a, b, mid)
-        # An event before the next midpoint joins now if rounding already puts
-        # its pair out of key order here.
-        ahead = mids[ell + 1] if ell + 1 < n_mid else 1.0
-        k = e
-        while k < n_e and events[k][0] < ahead:
-            _, x, y = events[k]
-            k += 1
-            s, t = pos[x], pos[y]
-            if s > t:
-                x, y, s, t = y, x, t, s
-            if t == s + 1:
-                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
-                if hy < hx or hy == hx and y < x:
-                    pending += [(x, y) for _, x, y in events[e:k]]
-                    e = k
-                    order = _settle(order, pending, pos, a, b, mid)
-        orders.append(order)
-    return curves, cutpoints, orders
+    return curves, active, cutpoints
 
 
-def _settle(order: list[int], pending: list[tuple[int, int]], pos: list[int],
-            a: list[float], b: list[float], mid: float) -> list[int]:
-    """A copy of `order` with the pending pairs bubbled into key order at mid.
+def _eta_order(curves: list[Optional[tuple]], active: list[int], mid: float) -> list[int]:
+    """The active rivals by ascending eta at payment mid, ties to the lower index.
 
-    Swaps adjacent pending pairs out of (a + b/mid, index) order until none
-    is left, updating `pos`, then drops the pairs that have flipped from
-    `pending`.  The result is the full sort at mid whenever every pair out of
-    order is pending.
+    eta_x <= eta_y iff h_x(mid) <= h_y(mid), for every p_i; `sorted` is
+    stable and `active` ascends, so equal keys keep index order.
     """
-    order = order[:]
-    swapped = True
-    while swapped:
-        swapped = False
-        for x, y in pending:
-            s, t = pos[x], pos[y]
-            if s > t:
-                x, y, s, t = y, x, t, s
-            if t == s + 1:
-                hx, hy = a[x] + b[x] / mid, a[y] + b[y] / mid
-                if hy < hx or hy == hx and y < x:
-                    order[s], order[t] = y, x
-                    pos[x], pos[y] = t, s
-                    swapped = True
-    pending[:] = [(x, y) for x, y in pending if (pos[x] < pos[y]) != (a[x] < a[y])]
-    return order
+    return sorted(active, key=lambda x: curves[x][0] + curves[x][1] / mid)
 
 
 class _Values(dict):
@@ -347,13 +261,14 @@ def _intervals(inst: Instance, ii: int, values: _Values):
     f = [a.prob for a in inst.actions]
     c = [a.cost for a in inst.actions]
     fi, ci = f[ii], c[ii]
-    curves, cutpoints, orders = _partition(f, c, ii)
-    for ell, order in enumerate(orders):
+    curves, active, cutpoints = _partition(f, c, ii)
+    for ell in range(len(cutpoints) - 1):
         lo = max(cutpoints[ell], ci / fi)
         hi = cutpoints[ell + 1]
         if lo > hi + EQ_TOL:
             continue
         lo = min(lo, hi)
+        order = _eta_order(curves, active, 0.5 * (cutpoints[ell] + hi))
         ranked = [curves[x] for x in order]
         cuts = [tuple(h for h in curve[2:] if h is not None and lo < h < hi)
                 for curve in ranked]

@@ -13,8 +13,8 @@ from icx.deterministic import solve_deterministic
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import Action, Instance, ValidationError, is_IC, marginal
 from icx.oracle import lp_min_cost_given_marginals
-from icx.randomized import (SubmodularityError, _intervals, _partition, _Values,
-                            assemble_scheme, eta, nested_min_cost_distribution,
+from icx.randomized import (SubmodularityError, _eta_order, _intervals, _partition,
+                            _Values, assemble_scheme, eta, nested_min_cost_distribution,
                             solve_randomized, solve_subproblem)
 from icx.serialization import canonical_dumps
 from conftest import (Squared, random_coupling, random_instance, random_marginals,
@@ -22,13 +22,18 @@ from conftest import (Squared, random_coupling, random_instance, random_marginal
 
 
 def partition(inst, i):
-    """(cutpoints, orders, active) of suggestion i, with ids for action indices."""
+    """(cutpoints, orders, active) of suggestion i, with ids for action indices.
+
+    `orders` holds the solver's eta order (`_eta_order` at the cutpoint
+    midpoint) of every interval, those below break-even included."""
     f = [a.prob for a in inst.actions]
     c = [a.cost for a in inst.actions]
-    curves, cutpoints, orders = _partition(f, c, inst.index(i))
+    curves, active, cutpoints = _partition(f, c, inst.index(i))
     ids = inst.ids
-    return (tuple(cutpoints), tuple(tuple(ids[x] for x in order) for order in orders),
-            tuple(ids[x] for x, curve in enumerate(curves) if curve is not None))
+    orders = tuple(
+        tuple(ids[x] for x in _eta_order(curves, active, 0.5 * (lo + hi)))
+        for lo, hi in zip(cutpoints, cutpoints[1:]))
+    return tuple(cutpoints), orders, tuple(ids[x] for x in active)
 
 
 def intervals(inst, ii):
@@ -250,14 +255,14 @@ class TestSubproblem:
 
 
 # ---------------------------------------------------------------------------
-# The crossing-event sweep and the per-interval cut lists, against the
-# per-interval midpoint sort and the per-split cut grid they replaced
+# Interval orders and the per-interval cut lists, against an independent
+# per-interval midpoint sort and the per-split cut grid the lists replaced
 # ---------------------------------------------------------------------------
 
 
 def midpoint_partition(f, c, ii):
-    """(curves, cutpoints, orders) with every interval's order sorted afresh
-    at its midpoint: the partition as computed before the event sweep."""
+    """(curves, cutpoints, orders) with every interval's order, those below
+    break-even included, sorted at its midpoint by the key (h(mid), index)."""
     fi, ci = f[ii], c[ii]
     curves = [None] * len(f)
     active = []
@@ -374,24 +379,33 @@ def eligible(inst):
 
 
 class TestSweepAndCutLists:
+    @staticmethod
+    def assert_midpoint_orders(inst, ii):
+        f = [a.prob for a in inst.actions]
+        c = [a.cost for a in inst.actions]
+        ref_curves, ref_cutpoints, ref_orders = midpoint_partition(f, c, ii)
+        curves, active, cutpoints = _partition(f, c, ii)
+        assert (curves, cutpoints) == (ref_curves, ref_cutpoints)
+        assert active == [x for x, curve in enumerate(curves) if curve is not None]
+        live = 0
+        for ctx in intervals(inst, ii):
+            assert ctx.order == ref_orders[ctx.ell]
+            live += 1
+        return cutpoints, live
+
     def test_orders_equal_midpoint_sort(self):
-        suggestions = 0
+        suggestions = live = 0
         for inst in sweep_battery():
-            f = [a.prob for a in inst.actions]
-            c = [a.cost for a in inst.actions]
             for ii in eligible(inst):
-                assert _partition(f, c, ii) == midpoint_partition(f, c, ii)
+                live += self.assert_midpoint_orders(inst, ii)[1]
                 suggestions += 1
-        assert suggestions > 1000
+        assert suggestions > 1000 and live > 10000
 
     @pytest.mark.parametrize("label", sorted(NEAR_TIES))
     def test_near_tie_flips_follow_the_midpoint_sort(self, label):
-        inst = near_tie_instance(label)
-        f = [a.prob for a in inst.actions]
-        c = [a.cost for a in inst.actions]
-        curves, cutpoints, orders = _partition(f, c, 1)
+        cutpoints, live = self.assert_midpoint_orders(near_tie_instance(label), 1)
         assert len(cutpoints) < 11  # 10 crossings in (0, 1), some merged
-        assert (curves, cutpoints, orders) == midpoint_partition(f, c, 1)
+        assert live > 0
 
     def test_pieces_equal_cut_grid(self, monkeypatch):
         # The screen evaluates both boundary curves at each piece's midpoint
