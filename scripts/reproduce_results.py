@@ -90,10 +90,10 @@ def hard_section(seed):
     inst = gen_xos_hard(params)
     fn = inst.cost_fn
     line("hidden set T", str(sorted(params.T)))
-    line("monotone (exhaustive, 2^10 sets)", str(check_monotone(fn, inst.n)[0]))
+    line("monotone (exhaustive, 2^10 sets)", str(check_monotone(fn)[0]))
     line("XOS certificate pointwise",
-         str(check_xos_pointwise(fn, xos_certificate(params), inst.n)))
-    ok, witness = check_submodular(fn, inst.n)
+         str(check_xos_pointwise(fn, xos_certificate(params))))
+    ok, witness = check_submodular(fn)
     line("submodular", f"{ok}", f"witness {witness}")
     scheme = unique_optimal_scheme(params)
     line("reference scheme IC", str(is_IC(inst, scheme, 1e-12)))

@@ -20,9 +20,10 @@ import sys
 import time
 
 from . import deterministic, families, oracle, randomized, reports, serialization
-from .costfn import CountingOracle, ExplicitTable, check_monotone, check_submodular
+from .costfn import (EXHAUSTIVE_MAX_N, CountingOracle, ExplicitTable, check_monotone,
+                     check_submodular)
 from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
-                    best_responses, check_tolerance, is_IC, principal_utility)
+                    best_responses, check_tolerance, principal_utility, validate_scheme)
 
 # compare --mode rand passes when the solver and the LP oracle, whose
 # golden-section payment search is approximate, agree within this.
@@ -103,20 +104,20 @@ def cmd_solve(args) -> int:
 def cmd_eval(args) -> int:
     inst = serialization.load_instance(args.instance)
     scheme = serialization.load_scheme(args.scheme)
-    from .model import validate_scheme
     validate_scheme(inst, scheme)
     tol = _tol(args)
     utilities = {a.id: agent_utility(inst, scheme, a.id) for a in inst.actions}
     responses = sorted(best_responses(inst, scheme, tol))
-    favored = max(responses, key=lambda j: principal_utility(inst, scheme, j))
+    principal = {j: principal_utility(inst, scheme, j) for j in responses}
+    favored = max(principal, key=principal.__getitem__)
     doc = {
         "agent_utilities": utilities,
         "best_responses": responses,
-        "ic": is_IC(inst, scheme, tol),
+        "ic": scheme.suggested in responses,
         "principal_utility_suggested": principal_utility(inst, scheme, scheme.suggested),
         "best_response_for_principal": {
             "action": favored,
-            "principal_utility": principal_utility(inst, scheme, favored),
+            "principal_utility": principal[favored],
         },
         "tolerance": tol,
     }
@@ -171,9 +172,9 @@ def cmd_compare(args) -> int:
 
 def cmd_check_costfn(args) -> int:
     inst = serialization.load_instance(args.instance)
-    mode = "exhaustive" if inst.n <= 16 else "sampled"
-    mono, mono_wit = check_monotone(inst.cost_fn, inst.n, mode=mode, seed=args.seed)
-    sub, sub_wit = check_submodular(inst.cost_fn, inst.n, mode=mode, seed=args.seed)
+    mode = "exhaustive" if inst.n <= EXHAUSTIVE_MAX_N else "sampled"
+    mono, mono_wit = check_monotone(inst.cost_fn, mode=mode, seed=args.seed)
+    sub, sub_wit = check_submodular(inst.cost_fn, mode=mode, seed=args.seed)
     doc = {
         "n": inst.n,
         "mode": mode,

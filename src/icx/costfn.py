@@ -9,14 +9,17 @@ seeded samples, returning a counterexample witness on failure.
 `submodular_by_type` decides a cost's class once, from its exact type, so
 no caller re-proves the submodularity of a typed cost with a 2^n scan.
 
-`SetFunction.table()` returns the list of all 2^n values indexed by bitmask,
-and every entry is bit-identical to `value(mask)`: the same float, of the
-same type.  The built-in constructors fill it by subset DP (entry m extends
-m without its highest bit by that bit), which reproduces `value`'s
-ascending-bit summation exactly; `families.VTCost` builds its table from
-its structure instead (one of two shared 8-entry rows per subset of its
-k hidden-shift actions).  The exhaustive checks read the table and
-compare whole slices of it at C speed.
+Every cost states its ground-set size `n`, which the checks and the demand
+oracle read.  `SetFunction.table()` returns the list of all 2^n values
+indexed by bitmask, each bit-identical to `value(mask)` (the same float, of
+the same type) in every subclass: one that defines `value` but not `table`
+gets the 2^n loop over its own `value`.  The built-in constructors fill it
+by subset DP (entry m extends m without its highest bit by that bit), which
+reproduces `value`'s ascending-bit summation exactly; `families.VTCost`
+builds its table from its structure instead (one of two shared 8-entry rows
+per subset of its k hidden-shift actions).  The exhaustive checks, limited
+to n <= `EXHAUSTIVE_MAX_N`, read the table and compare whole slices of it
+at C speed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from typing import Sequence
 # class checks, probability sums, cutpoint and mass checks, LP dust, and the
 # re-checks of a solver's answer.  Utility comparisons use model.DEFAULT_TOL.
 EQ_TOL = 1e-12
+
+# The largest n whose 2^n sets the exhaustive checks scan.
+EXHAUSTIVE_MAX_N = 16
 
 
 popcount = int.bit_count
@@ -64,21 +70,27 @@ def price_of(prices: Sequence[float], mask: int) -> float:
 class SetFunction:
     """Value/demand oracle over subsets of {0, ..., n-1}.
 
-    Subclasses implement `value`.  `demand` defaults to exhaustive
-    enumeration (n <= 20) with deterministic tie-breaking: smaller
-    cardinality first, then smaller bitmask.
+    Subclasses give `n` and implement `value`.  `demand` defaults to
+    exhaustive enumeration (n <= 20) with deterministic tie-breaking:
+    smaller cardinality first, then smaller bitmask.
     """
 
     n: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # An inherited table would hold the parent's values, not this value's.
+        if "value" in vars(cls) and "table" not in vars(cls):
+            cls.table = SetFunction.table
 
     def value(self, mask: int) -> float:
         raise NotImplementedError
 
     def demand(self, prices: Sequence[float]) -> int:
-        return demand_default(self, prices, self.n)
+        return demand_default(self, prices)
 
     def table(self) -> list[float]:
-        """All 2^n values, bit-identical to `value` (n <= 16 guard: caller's concern)."""
+        """All 2^n values, bit-identical to `value`."""
         return [self.value(m) for m in range(1 << self.n)]
 
 
@@ -90,12 +102,13 @@ def _subset_sums(weights: Sequence[float]) -> list[float]:
     return sums
 
 
-def demand_default(fn: SetFunction, prices: Sequence[float], n: int) -> int:
+def demand_default(fn: SetFunction, prices: Sequence[float]) -> int:
     """Exhaustive demand oracle: argmax of value(S) - price(S).
 
     Ties broken toward smaller cardinality, then smaller bitmask, so the
     result is deterministic and implementation-independent.
     """
+    n = fn.n
     if n > 20:
         raise ValueError(f"demand_default enumerates 2^n subsets; n={n} > 20")
     if any(q < 0 for q in prices):
@@ -356,17 +369,7 @@ class CountingOracle(SetFunction):
     def table(self) -> list[float]:
         """Counts one value query per entry, as materializing via `value` would."""
         self.value_queries += 1 << self.n
-        return _values(self.inner)
-
-
-def _values(fn: SetFunction) -> list[float]:
-    """All 2^fn.n values of fn: its `table()` only if the class that supplies
-    its `value` supplies `table` too, since a subclass that overrides only
-    `value` inherits a table of its parent's values."""
-    owner = next(cls for cls in type(fn).__mro__ if "value" in vars(cls))
-    if "table" in vars(owner):
-        return fn.table()
-    return [fn.value(m) for m in range(1 << fn.n)]
+        return self.inner.table()
 
 
 def uncounted(fn: SetFunction) -> SetFunction:
@@ -392,13 +395,6 @@ def _sampled_masks(rng: random.Random, n: int, count: int):
     full = (1 << n) - 1
     for _ in range(count):
         yield rng.randint(0, full)
-
-
-def _all_values(fn: SetFunction, n: int) -> list[float]:
-    """[fn.value(m) for m in range(1 << n)], through `_values` when n == fn.n."""
-    if fn.n == n:
-        return _values(fn)
-    return [fn.value(m) for m in range(1 << n)]
 
 
 def _bit_slices(vals: Sequence[float], n: int, i: int):
@@ -482,17 +478,23 @@ def _scaled_tol(vals) -> float:
     return EQ_TOL * max(1.0, max(map(abs, vals)))
 
 
-def check_monotone(fn: SetFunction, n: int, mode: str = "exhaustive",
+def _full_table(fn: SetFunction, check: str) -> list[float]:
+    """fn.table(), for a check that reads all 2^n sets; refused beyond EXHAUSTIVE_MAX_N."""
+    if fn.n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"{check} check limited to n <= {EXHAUSTIVE_MAX_N}")
+    return fn.table()
+
+
+def check_monotone(fn: SetFunction, mode: str = "exhaustive",
                    seed: int = 0, samples: int = 1000):
     """Check S <= T => v(S) <= v(T) via single-element extensions.
 
     Returns (True, None) or (False, (mask, element)) where adding `element`
     to `mask` strictly decreases the value.
     """
+    n = fn.n
     if mode == "exhaustive":
-        if n > 16:
-            raise ValueError("exhaustive monotonicity check limited to n <= 16")
-        witness = _monotone_violation(_all_values(fn, n), n)
+        witness = _monotone_violation(_full_table(fn, "exhaustive monotonicity"), n)
         return witness is None, witness
     elif mode == "sampled":
         rng = random.Random(seed)
@@ -506,7 +508,7 @@ def check_monotone(fn: SetFunction, n: int, mode: str = "exhaustive",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
+def check_submodular(fn: SetFunction, mode: str = "exhaustive",
                      seed: int = 0, samples: int = 1000):
     """Check decreasing marginals: v(i|S) >= v(i|S+j) for all S, i,j not in S.
 
@@ -515,10 +517,9 @@ def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
     of the four values each comparison reads.  Returns (True, None) or
     (False, (mask, i, j)) for the first violating nested pair found.
     """
+    n = fn.n
     if mode == "exhaustive":
-        if n > 16:
-            raise ValueError("exhaustive submodularity check limited to n <= 16")
-        witness = _submodular_violation(_all_values(fn, n), n)
+        witness = _submodular_violation(_full_table(fn, "exhaustive submodularity"), n)
         return witness is None, witness
     elif mode == "sampled":
         rng = random.Random(seed)
@@ -535,27 +536,18 @@ def check_submodular(fn: SetFunction, n: int, mode: str = "exhaustive",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_xos_pointwise(fn: SetFunction, clauses, n: int) -> bool:
+def check_xos_pointwise(fn: SetFunction, clauses) -> bool:
     """Check a clause family certifies fn as XOS, pointwise over all 2^n sets.
 
     `clauses` is either a list of additive weight vectors, or any object with
-    a `max_value(mask)` method (for families too large to materialize; the
-    analytic max subsumes the per-clause upper bounds).
+    a `max_value(mask)` method (for families too large to materialize).  Each
+    set's largest clause value must be within EQ_TOL of its value, which also
+    bounds every clause from above.
     """
-    if n > 16:
-        raise ValueError("pointwise XOS check limited to n <= 16")
-    lazy = hasattr(clauses, "max_value")
-    for mask in range(1 << n):
-        v = fn.value(mask)
-        if lazy:
-            best = clauses.max_value(mask)
-        else:
-            best = 0.0
-            for c in clauses:
-                cv = sum(c[i] for i in bits(mask))
-                if cv > v + EQ_TOL:
-                    return False
-                best = max(best, cv)
-        if abs(best - v) > EQ_TOL:
-            return False
-    return True
+    table = _full_table(fn, "pointwise XOS")
+    if hasattr(clauses, "max_value"):
+        max_value = clauses.max_value
+    else:
+        def max_value(mask):
+            return max([0.0, *(sum(c[i] for i in bits(mask)) for c in clauses)])
+    return not any(abs(max_value(mask) - v) > EQ_TOL for mask, v in enumerate(table))

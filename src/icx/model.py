@@ -79,7 +79,9 @@ class Instance:
             raise ValidationError(f"null action {self.null_id!r} not among actions")
         if self.actions[ids.index(self.null_id)].cost != 0.0:
             raise ValidationError("null action must have zero cost")
-        if getattr(self.cost_fn, "n", len(ids)) != len(ids):
+        if not hasattr(self.cost_fn, "n"):
+            raise ValidationError("cost function has no ground-set size n")
+        if self.cost_fn.n != len(ids):
             raise ValidationError("cost function ground-set size != number of actions")
 
     @property

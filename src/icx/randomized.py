@@ -55,6 +55,10 @@ from .model import (ActionId, InspectionScheme, Instance, ValidationError,
 # 216-byte object on CPython).
 _NOTHING = frozenset()
 
+# A cost that is not submodular by type is checked exhaustively up to this n,
+# and trusted with a warning above it.
+CLASS_CHECK_MAX_N = 10
+
 
 class SubmodularityError(ValueError):
     """Cost function failed the submodularity check required by the solver."""
@@ -400,17 +404,18 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.
 
     A cost that is not submodular by type (`submodular_by_type`) is checked
-    exhaustively when n <= 10, raising SubmodularityError on a violation,
-    and otherwise trusted with a warning in the report.
+    exhaustively when n <= CLASS_CHECK_MAX_N, raising SubmodularityError on
+    a violation, and otherwise trusted with a warning in the report.
     """
     warnings = ()
     if not submodular_by_type(inst.cost_fn):
-        if inst.n <= 10:
-            ok, witness = check_submodular(inst.cost_fn, inst.n, mode="exhaustive")
+        if inst.n <= CLASS_CHECK_MAX_N:
+            ok, witness = check_submodular(inst.cost_fn, mode="exhaustive")
             if not ok:
                 raise SubmodularityError(witness)
         else:
-            warnings = ("submodularity unverified (n > 10); result trusted",)
+            warnings = (f"submodularity unverified (n > {CLASS_CHECK_MAX_N}); "
+                        "result trusted",)
 
     values = _Values(inst.cost_fn.value)
     best = None  # (utility, -index, -alpha) -> payload

@@ -11,8 +11,8 @@ GRID = [i / 8.0 for i in range(9)]
 
 
 class Squared(costfn.Additive):
-    """Overrides only `value`: not submodular, and the table it inherits
-    holds its parent's values, not its own."""
+    """Overrides only `value`: not submodular, and its table must hold its
+    own values, not the subset sums of the `Additive` it extends."""
 
     def value(self, mask):
         return super().value(mask) ** 2

@@ -142,13 +142,12 @@ def test_criterion_5_non_ic_example():
 def test_criterion_6_hidden_shift_instance():
     inst = gen_xos_hard(HARD7)
     fn = inst.cost_fn
-    n = inst.n
 
-    ok, _ = check_monotone(fn, n, mode="exhaustive")
+    ok, _ = check_monotone(fn, mode="exhaustive")
     assert ok
-    assert check_xos_pointwise(fn, xos_certificate(HARD7), n)
+    assert check_xos_pointwise(fn, xos_certificate(HARD7))
 
-    ok, witness = check_submodular(fn, n, mode="exhaustive")
+    ok, witness = check_submodular(fn, mode="exhaustive")
     assert not ok
     mask, i, j = witness
     assert fn.value(mask | (1 << j) | (1 << i)) - fn.value(mask | (1 << j)) > \
@@ -214,7 +213,7 @@ def test_criterion_9_demand_shortcut_fidelity():
     for trial in range(1000):
         prices = [rng.uniform(0.0, 2.2) for _ in range(inst.n)]
         fast = demand_vt(HARD7, prices)
-        slow = demand_default(fn, prices, inst.n)
+        slow = demand_default(fn, prices)
         assert fast == slow, f"trial {trial}: {fast:b} vs {slow:b}"
     _report("ACCEPTANCE 9 PASS: shortcut demand oracle matches exhaustive "
             "enumeration on 1000 random price vectors (exact set equality).")

@@ -112,16 +112,16 @@ class TestExplicitTableStorage:
 class TestCheckers:
     def test_additive_monotone_and_submodular(self):
         fn = Additive([0.3, 0.0, 1.2])
-        assert check_monotone(fn, 3) == (True, None)
-        assert check_submodular(fn, 3) == (True, None)
+        assert check_monotone(fn) == (True, None)
+        assert check_submodular(fn) == (True, None)
 
     def test_budget_additive_submodular(self):
         fn = BudgetAdditive([0.5, 0.8, 0.3], 1.0)
-        assert check_submodular(fn, 3)[0]
+        assert check_submodular(fn)[0]
 
     def test_violation_witness(self):
         fn = unchecked_table([0.0, 2.0, 0.5, 1.0])
-        ok, witness = check_monotone(fn, 2)
+        ok, witness = check_monotone(fn)
         assert not ok
         mask, elem = witness
         assert fn.value(mask | (1 << elem)) < fn.value(mask)
@@ -129,7 +129,7 @@ class TestCheckers:
     def test_submodular_witness_is_valid(self):
         # Coverage with complementary-looking table: build a supermodular one.
         fn = ExplicitTable([0.0, 0.0, 0.0, 1.0])
-        ok, witness = check_submodular(fn, 2)
+        ok, witness = check_submodular(fn)
         assert not ok
         mask, i, j = witness
         gain_small = fn.value(mask | (1 << i)) - fn.value(mask)
@@ -138,19 +138,19 @@ class TestCheckers:
 
     def test_exhaustive_size_limit(self):
         with pytest.raises(ValueError):
-            check_monotone(Additive([0.0] * 17), 17)
+            check_monotone(Additive([0.0] * 17))
 
     def test_sampled_mode_replays(self, rng):
         fn = random_monotone_table(rng, 8)
-        assert check_monotone(fn, 8, mode="sampled", seed=7, samples=500)[0]
+        assert check_monotone(fn, mode="sampled", seed=7, samples=500)[0]
 
     def test_constructors_all_monotone_normalized(self, rng):
         for trial in range(40):
             n = rng.randint(1, 6)
             fn = random_submodular_fn(rng, n)
             assert fn.value(0) == 0.0
-            assert check_monotone(fn, n)[0]
-            assert check_submodular(fn, n)[0]
+            assert check_monotone(fn)[0]
+            assert check_submodular(fn)[0]
         # The JSON-loadable costs that are not submodular are monotone too,
         # which is why loading an instance needs no monotonicity re-scan.
         for trial in range(20):
@@ -158,21 +158,21 @@ class TestCheckers:
             fn = XOSClauses([[rng.uniform(0.0, 0.6) for _ in range(n)]
                              for _ in range(rng.randint(1, 4))])
             assert fn.value(0) == 0.0
-            assert check_monotone(fn, n)[0]
+            assert check_monotone(fn)[0]
         for k, m in [(7, None), (7, 1), (7, 6), (11, None), (11, 3)]:
             fn = VTCost(random_hard_params(k, rng.randrange(100), m))
             assert fn.value(0) == 0.0
-            assert check_monotone(fn, fn.n)[0]
+            assert check_monotone(fn)[0]
 
     def test_xos_pointwise_self_certificate(self):
         clauses = [[0.5, 0.0, 0.3], [0.2, 0.4, 0.0]]
         fn = XOSClauses(clauses)
-        assert check_xos_pointwise(fn, clauses, 3)
-        assert check_xos_pointwise(Additive([0.5, 0.2]), [[0.5, 0.2]], 2)
+        assert check_xos_pointwise(fn, clauses)
+        assert check_xos_pointwise(Additive([0.5, 0.2]), [[0.5, 0.2]])
 
     def test_xos_pointwise_rejects_wrong_family(self):
         fn = Additive([0.5, 0.2])
-        assert not check_xos_pointwise(fn, [[0.5, 0.0]], 2)
+        assert not check_xos_pointwise(fn, [[0.5, 0.0]])
 
 
 class TestDemand:
@@ -180,30 +180,30 @@ class TestDemand:
         fn = Additive([0.5, 0.2, 0.9])
         prices = [0.1, 0.4, 0.9]  # middle element loses, last one ties
         assert fn.demand(prices) == 0b001
-        assert demand_default(fn, prices, 3) == 0b001
+        assert demand_default(fn, prices) == 0b001
 
     def test_huge_prices_empty(self):
         fn = Additive([0.5, 0.2])
-        assert demand_default(fn, [10.0, 10.0], 2) == 0
+        assert demand_default(fn, [10.0, 10.0]) == 0
 
     def test_tie_breaks_toward_smaller_sets(self):
         fn = ConcaveCardinality([0.0, 1.0, 1.0])
         # Both singletons and the pair reach value 1; free prices everywhere.
-        assert demand_default(fn, [0.0, 0.0], 2) == 0b01
+        assert demand_default(fn, [0.0, 0.0]) == 0b01
 
     def test_never_dominated(self, rng):
         for _ in range(50):
             n = rng.randint(1, 6)
             fn = random_submodular_fn(rng, n)
             prices = [rng.uniform(0, 0.8) for _ in range(n)]
-            chosen = demand_default(fn, prices, n)
+            chosen = demand_default(fn, prices)
             obj = fn.value(chosen) - costfn.price_of(prices, chosen)
             for mask in range(1 << n):
                 assert obj >= fn.value(mask) - costfn.price_of(prices, mask) - 1e-12
 
     def test_rejects_negative_prices(self):
         with pytest.raises(ValueError):
-            demand_default(Additive([0.5]), [-1.0], 1)
+            demand_default(Additive([0.5]), [-1.0])
 
 
 class TestCountingOracle:
@@ -340,7 +340,8 @@ def _corrupt(rng, vals, n):
 class TestTables:
     def test_table_is_bit_identical_to_value(self, rng):
         for n in (1, 1, 2, 3, 5, 8, 10):
-            for fn in _every_constructor(rng, n):
+            fns = _every_constructor(rng, n) + [Squared([_weight(rng) for _ in range(n)])]
+            for fn in fns + [CountingOracle(fn) for fn in fns]:
                 assert fn.n == n
                 table = fn.table()
                 assert _exact(table) == _exact(fn.value(m) for m in range(1 << n)), fn
@@ -356,12 +357,12 @@ class TestTables:
 
     def test_subclass_overriding_value_is_checked_by_value(self):
         fn = Squared([0.5, 0.25, 1.0])
-        assert check_submodular(fn, 3) == (False, (0, 0, 1))
+        assert check_submodular(fn) == (False, (0, 0, 1))
         counted = CountingOracle(fn)
-        assert check_submodular(counted, 3) == (False, (0, 0, 1))
+        assert check_submodular(counted) == (False, (0, 0, 1))
         assert counted.value_queries == 1 << 3
-        assert check_submodular(fn, 3, mode="sampled") == (False, (1, 2, 1))
-        assert check_monotone(fn, 3) == (True, None)
+        assert check_submodular(fn, mode="sampled") == (False, (1, 2, 1))
+        assert check_monotone(fn) == (True, None)
 
     def test_constructor_tables_skip_value(self, rng, monkeypatch):
         # The built-in types keep their subset-DP tables, also when a
@@ -379,13 +380,13 @@ class TestTables:
         for cls in (Additive, BudgetAdditive, WeightedCoverage, ConcaveCardinality):
             monkeypatch.setattr(cls, "value", unavailable)
         for fn in fns:
-            assert check_submodular(fn, fn.n) == (True, None)
-            assert check_submodular(CountingOracle(fn), fn.n) == (True, None)
+            assert check_submodular(fn) == (True, None)
+            assert check_submodular(CountingOracle(fn)) == (True, None)
 
     def test_exhaustive_checks_count_2_to_the_n(self, rng):
         fn = CountingOracle(random_submodular_fn(rng, 6))
-        check_monotone(fn, 6)
-        check_submodular(fn, 6)
+        check_monotone(fn)
+        check_submodular(fn)
         assert fn.value_queries == 2 << 6
 
     def test_checks_match_reference_on_corrupted_tables(self, rng):
@@ -398,8 +399,8 @@ class TestTables:
             fn = unchecked_table(vals)
             mono = _reference_monotone(vals, n)
             sub = _reference_submodular(vals, n)
-            assert check_monotone(fn, n) == mono
-            assert check_submodular(fn, n) == sub
+            assert check_monotone(fn) == mono
+            assert check_submodular(fn) == sub
             if mono[0]:
                 ExplicitTable(vals)
             else:
@@ -414,14 +415,14 @@ class TestTables:
         # v({0}) - v({}) may undercut by EQ_TOL itself, not by one ulp more.
         at = -costfn.EQ_TOL
         below = math.nextafter(at, -math.inf)
-        assert check_monotone(ExplicitTable([0.0, at]), 1) == (True, None)
-        assert check_monotone(unchecked_table([0.0, below]), 1) == \
+        assert check_monotone(ExplicitTable([0.0, at])) == (True, None)
+        assert check_monotone(unchecked_table([0.0, below])) == \
             (False, (0, 0))
         # Gain of 0 grows from 0 to EQ_TOL (allowed), then one ulp further.
         ok = [0.0, 0.0, 0.5, 0.5 + costfn.EQ_TOL]
-        assert check_submodular(ExplicitTable(ok), 2) == (True, None)
+        assert check_submodular(ExplicitTable(ok)) == (True, None)
         bad = ok[:3] + [math.nextafter(ok[3], math.inf)]
-        assert check_submodular(ExplicitTable(bad), 2) == \
+        assert check_submodular(ExplicitTable(bad)) == \
             (False, (0, 0, 1))
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -430,18 +431,10 @@ class TestTables:
         # EQ_TOL of the values compared, though not within EQ_TOL itself.
         fn = Additive([0.88, 40.0, 22000.0])
         assert (fn.value(0b101) - fn.value(0b100)) - 0.88 > costfn.EQ_TOL
-        assert check_submodular(fn, 3, mode=mode) == (True, None)
+        assert check_submodular(fn, mode=mode) == (True, None)
         # A real violation at that scale still fails, with its witness.
-        ok, witness = check_submodular(ExplicitTable([0.0, 1e4, 1e4, 3e4]), 2, mode=mode)
+        ok, witness = check_submodular(ExplicitTable([0.0, 1e4, 1e4, 3e4]), mode=mode)
         assert not ok and witness in [(0, 0, 1), (0, 1, 0)]
-
-    def test_n_below_fn_n_checks_the_prefix(self, rng):
-        for _ in range(30):
-            vals = _corrupt(rng, random_monotone_table(rng, 6).table(), 6)
-            fn = unchecked_table(vals)
-            for n in range(6):
-                assert check_monotone(fn, n) == _reference_monotone(vals[:1 << n], n)
-                assert check_submodular(fn, n) == _reference_submodular(vals[:1 << n], n)
 
 
 class TestRejectPaths:
@@ -459,9 +452,9 @@ class TestRejectPaths:
         (lambda: ExplicitTable([]), "table length must be a power of two"),
         (lambda: XOSClauses([]), "XOS needs at least one clause"),
         (lambda: XOSClauses([[0.1], [0.1, 0.2]]), "all clauses must have the same length"),
-        (lambda: check_monotone(Additive([0.1, 0.2]), 2, mode="bogus"),
+        (lambda: check_monotone(Additive([0.1, 0.2]), mode="bogus"),
          "unknown mode 'bogus'"),
-        (lambda: check_submodular(Additive([0.1, 0.2]), 2, mode="bogus"),
+        (lambda: check_submodular(Additive([0.1, 0.2]), mode="bogus"),
          "unknown mode 'bogus'"),
     ], ids=["negative-cap", "coverage-weights-length", "cover-too-high",
             "cover-negative", "decreasing-cardinality", "table-length", "table-empty",
@@ -474,4 +467,4 @@ class TestRejectPaths:
         # Adding element 1 to {0} drops the value from 2.0 to 1.0; no other
         # single-element extension decreases it.
         fn = unchecked_table([0.0, 2.0, 0.5, 1.0])
-        assert check_monotone(fn, 2, mode="sampled", seed=0) == (False, (1, 1))
+        assert check_monotone(fn, mode="sampled", seed=0) == (False, (1, 1))

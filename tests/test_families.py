@@ -88,9 +88,9 @@ class TestVTCost:
 
     def test_monotone_not_submodular(self):
         fn = VTCost(PARAMS7)
-        ok, _ = costfn.check_monotone(fn, fn.n)
+        ok, _ = costfn.check_monotone(fn)
         assert ok
-        ok, witness = costfn.check_submodular(fn, fn.n)
+        ok, witness = costfn.check_submodular(fn)
         assert not ok
         mask, i, j = witness
         gain_small = fn.value(mask | (1 << i)) - fn.value(mask)
@@ -119,7 +119,7 @@ class TestVTCost:
         for k in (11, 13):
             params = random_hard_params(k, seed=5)
             fn = VTCost(params)
-            ok, _ = costfn.check_monotone(fn, fn.n, mode="sampled", seed=1,
+            ok, _ = costfn.check_monotone(fn, mode="sampled", seed=1,
                                           samples=4000)
             assert ok
 
@@ -128,13 +128,13 @@ class TestCertificate:
     def test_pointwise_at_k7(self):
         fn = VTCost(PARAMS7)
         cert = xos_certificate(PARAMS7)
-        assert costfn.check_xos_pointwise(fn, cert, fn.n)
+        assert costfn.check_xos_pointwise(fn, cert)
 
     def test_pointwise_at_k11(self):
         params = random_hard_params(11, seed=2)
         fn = VTCost(params)
         cert = xos_certificate(params)
-        assert costfn.check_xos_pointwise(fn, cert, fn.n)
+        assert costfn.check_xos_pointwise(fn, cert)
 
     def test_singleton_clauses_touch(self):
         inst = gen_xos_hard(PARAMS7)
@@ -192,7 +192,7 @@ class TestDemandVT:
         fn = inst.cost_fn
         for trial in range(300):
             prices = [rng.uniform(0.0, 2.2) for _ in range(inst.n)]
-            assert demand_vt(PARAMS7, prices) == costfn.demand_default(fn, prices, inst.n)
+            assert demand_vt(PARAMS7, prices) == costfn.demand_default(fn, prices)
 
     def test_counts_as_single_demand_query(self):
         fn = costfn.CountingOracle(VTCost(PARAMS7))

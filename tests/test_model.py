@@ -13,6 +13,13 @@ from icx.model import (Action, InspectionScheme, Instance, ValidationError,
                        is_IC, marginal, normalize_scheme, principal_utility)
 
 
+class _Sizeless(costfn.SetFunction):
+    """A cost that never states its ground-set size."""
+
+    def value(self, mask):
+        return 0.0
+
+
 def scheme(suggested, alpha, dist):
     return InspectionScheme(suggested, alpha, [(frozenset(s), p) for s, p in dist])
 
@@ -60,7 +67,8 @@ class TestValidation:
          costfn.Additive([0.0] * 31), "at most 30 actions supported"),
         ((Action("a0", 0.0, 0.5),), costfn.Additive([0.0, 0.0]),
          "cost function ground-set size != number of actions"),
-    ], ids=["empty", "31-actions", "wrong-ground-set"])
+        ((Action("a0", 0.0, 0.5),), _Sizeless(), "cost function has no ground-set size n"),
+    ], ids=["empty", "31-actions", "wrong-ground-set", "no-ground-set-size"])
     def test_instance_rejects(self, actions, cost_fn, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Instance(actions, "a0", cost_fn)

@@ -555,7 +555,7 @@ class TestSolveRandomized:
         scans = []
         check = randomized.check_submodular
         monkeypatch.setattr(randomized, "check_submodular",
-                            lambda fn, n, **kw: scans.append(n) or check(fn, n, **kw))
+                            lambda fn, **kw: scans.append(fn.n) or check(fn, **kw))
         rng = random.Random(3)
         typed = random_instance(rng, 11, fn=random_submodular_fn(rng, 11, "coverage"))
         report = solve_randomized(typed.with_cost_fn(costfn.CountingOracle(typed.cost_fn)))
