@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import deterministic, families, oracle, randomized, reports, serialization
-from .costfn import (EXHAUSTIVE_MAX_N, CountingOracle, ExplicitTable, check_monotone,
+from .costfn import (CountingOracle, ExplicitTable, check_mode, check_monotone,
                      check_submodular)
 from .model import (DEFAULT_TOL, Instance, ValidationError, agent_utility,
                     best_responses, check_tolerance, principal_utility, validate_scheme)
@@ -172,7 +172,7 @@ def cmd_compare(args) -> int:
 
 def cmd_check_costfn(args) -> int:
     inst = serialization.load_instance(args.instance)
-    mode = "exhaustive" if inst.n <= EXHAUSTIVE_MAX_N else "sampled"
+    mode = check_mode(inst.cost_fn)
     mono, mono_wit = check_monotone(inst.cost_fn, mode=mode, seed=args.seed)
     sub, sub_wit = check_submodular(inst.cost_fn, mode=mode, seed=args.seed)
     doc = {

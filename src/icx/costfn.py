@@ -19,7 +19,8 @@ reproduces `value`'s ascending-bit summation exactly; `families.VTCost`
 builds its table from its structure instead (one of two shared 8-entry rows
 per subset of its k hidden-shift actions).  The exhaustive checks, limited
 to n <= `EXHAUSTIVE_MAX_N`, read the table and compare whole slices of it
-at C speed.
+at C speed.  Above that limit the checks sample (`check_mode` is the one
+rule, which `solve_randomized` and `icx check-costfn` both follow).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ EQ_TOL = 1e-12
 
 # The largest n whose 2^n sets the exhaustive checks scan.
 EXHAUSTIVE_MAX_N = 16
+
+# Random draws of a sampled check, by default: a (set, element) pair for
+# monotonicity, a (set, i, j) triple for submodularity.
+CHECK_SAMPLES = 1000
 
 
 popcount = int.bit_count
@@ -391,9 +396,15 @@ def submodular_by_type(fn: SetFunction) -> bool:
     return type(uncounted(fn)) in _SUBMODULAR_TYPES
 
 
+def check_mode(fn: SetFunction) -> str:
+    """The mode of fn's class checks: exhaustive up to EXHAUSTIVE_MAX_N, sampled above."""
+    return "exhaustive" if fn.n <= EXHAUSTIVE_MAX_N else "sampled"
+
+
 def _sampled_masks(rng: random.Random, n: int, count: int):
+    """count random masks over n elements; none when n = 0, which has no element to draw."""
     full = (1 << n) - 1
-    for _ in range(count):
+    for _ in range(count if n else 0):
         yield rng.randint(0, full)
 
 
@@ -486,7 +497,7 @@ def _full_table(fn: SetFunction, check: str) -> list[float]:
 
 
 def check_monotone(fn: SetFunction, mode: str = "exhaustive",
-                   seed: int = 0, samples: int = 1000):
+                   seed: int = 0, samples: int = CHECK_SAMPLES):
     """Check S <= T => v(S) <= v(T) via single-element extensions.
 
     Returns (True, None) or (False, (mask, element)) where adding `element`
@@ -509,7 +520,7 @@ def check_monotone(fn: SetFunction, mode: str = "exhaustive",
 
 
 def check_submodular(fn: SetFunction, mode: str = "exhaustive",
-                     seed: int = 0, samples: int = 1000):
+                     seed: int = 0, samples: int = CHECK_SAMPLES):
     """Check decreasing marginals: v(i|S) >= v(i|S+j) for all S, i,j not in S.
 
     A marginal may grow by EQ_TOL times the largest |v| read, when that is

@@ -81,7 +81,10 @@ class Instance:
             raise ValidationError("null action must have zero cost")
         if not hasattr(self.cost_fn, "n"):
             raise ValidationError("cost function has no ground-set size n")
-        if self.cost_fn.n != len(ids):
+        n = self.cost_fn.n
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValidationError(f"cost function ground-set size n must be an int, not {n!r}")
+        if n != len(ids):
             raise ValidationError("cost function ground-set size != number of actions")
 
     @property
@@ -233,23 +236,3 @@ def best_responses(inst: Instance, scheme: InspectionScheme,
 def is_IC(inst: Instance, scheme: InspectionScheme, tol: float = DEFAULT_TOL) -> bool:
     """True iff the suggested action is a best response (ties count as IC)."""
     return scheme.suggested in best_responses(inst, scheme, tol)
-
-
-def normalize_scheme(inst: Instance, scheme: InspectionScheme) -> InspectionScheme:
-    """Move all mass on subsets containing the suggested action to its singleton.
-
-    Preserves every agent utility exactly and weakly increases the principal's
-    utility for monotone inspection costs; preserves determinism.
-    """
-    i = scheme.suggested
-    singleton_mass = 0.0
-    rest: list[tuple[frozenset[ActionId], float]] = []
-    for s, p in scheme.distribution:
-        if i in s:
-            singleton_mass += p
-        else:
-            rest.append((s, p))
-    if singleton_mass == 0.0:
-        return scheme
-    rest.append((frozenset([i]), singleton_mass))
-    return InspectionScheme(i, scheme.alpha, rest)

@@ -27,7 +27,7 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
 The search runs on action indices and bitmasks, and each rival's curve
 h_j(alpha) = a + b/alpha, the p_i level at which eta_j hits zero, is
 computed once per suggestion (`_partition`); ids enter only when the winner
-is assembled.  `eta` is the id-based form of the same bound.
+is assembled.
 
 Inspection costs are read lazily, through one memo (mask -> v) per solve
 that every suggestion shares.  An interval reads the values of its eta
@@ -47,17 +47,13 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from . import reports
-from .costfn import EQ_TOL, check_submodular, submodular_by_type
-from .model import (ActionId, InspectionScheme, Instance, ValidationError,
-                    is_IC)
+from .costfn import (CHECK_SAMPLES, EQ_TOL, EXHAUSTIVE_MAX_N, check_mode,
+                     check_submodular, submodular_by_type)
+from .model import InspectionScheme, Instance, ValidationError, is_IC
 
 # The empty inspection set, shared by every scheme (each frozenset() is a new
 # 216-byte object on CPython).
 _NOTHING = frozenset()
-
-# A cost that is not submodular by type is checked exhaustively up to this n,
-# and trusted with a warning above it.
-CLASS_CHECK_MAX_N = 10
 
 
 class SubmodularityError(ValueError):
@@ -66,16 +62,6 @@ class SubmodularityError(ValueError):
     def __init__(self, witness):
         super().__init__(f"inspection cost is not submodular; witness {witness}")
         self.witness = witness
-
-
-def eta(inst: Instance, i: ActionId, j: ActionId, alpha: float, p_i: float) -> float:
-    """Minimal inspection marginal on j making the suggestion weakly preferred."""
-    fj = inst.f(j)
-    if fj <= 0.0:
-        raise ValidationError(f"eta undefined for f({j}) = 0; constraint is vacuous")
-    if alpha <= 0.0:
-        raise ValidationError("eta requires a positive payment")
-    return 1.0 - p_i - (alpha * inst.f(i) - inst.c(i) + inst.c(j)) / (alpha * fj)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +82,6 @@ class NestedDistribution:
     levels: tuple[tuple[frozenset, float], ...]
     empty_mass: float
     expected_cost: Optional[float]
-
-    def marginal(self, e) -> float:
-        return sum(p for s, p in self.levels if e in s)
-
-    def total_mass(self) -> float:
-        return self.empty_mass + sum(p for _, p in self.levels)
-
-    def support_size(self) -> int:
-        return len(self.levels) + (1 if self.empty_mass > 0.0 else 0)
 
 
 def nested_min_cost_distribution(ground: Sequence[Hashable], marginals: Mapping,
@@ -404,18 +381,19 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.
 
     A cost that is not submodular by type (`submodular_by_type`) is checked
-    exhaustively when n <= CLASS_CHECK_MAX_N, raising SubmodularityError on
-    a violation, and otherwise trusted with a warning in the report.
+    in `check_mode`'s mode, with `check_submodular`'s default seed and
+    sample count; a witness raises SubmodularityError.  A sampled check
+    that finds none leaves a warning in the report.
     """
     warnings = ()
     if not submodular_by_type(inst.cost_fn):
-        if inst.n <= CLASS_CHECK_MAX_N:
-            ok, witness = check_submodular(inst.cost_fn, mode="exhaustive")
-            if not ok:
-                raise SubmodularityError(witness)
-        else:
-            warnings = (f"submodularity unverified (n > {CLASS_CHECK_MAX_N}); "
-                        "result trusted",)
+        mode = check_mode(inst.cost_fn)
+        ok, witness = check_submodular(inst.cost_fn, mode=mode)
+        if not ok:
+            raise SubmodularityError(witness)
+        if mode == "sampled":
+            warnings = (f"submodularity sampled, not proven (n > {EXHAUSTIVE_MAX_N}): "
+                        f"no violation in {CHECK_SAMPLES} random draws",)
 
     values = _Values(inst.cost_fn.value)
     best = None  # (utility, -index, -alpha) -> payload

@@ -100,6 +100,21 @@ def scaled_rivals_instance(rng: random.Random, trial: int, lo: int, hi: int):
         [rng.uniform(0.0, 2.0) for _ in actions]))
 
 
+def nested_marginal(nd, e) -> float:
+    """Probability that a `NestedDistribution` inspects element e."""
+    return sum(p for s, p in nd.levels if e in s)
+
+
+def nested_total_mass(nd) -> float:
+    """Mass of a `NestedDistribution`: its levels plus the empty set."""
+    return nd.empty_mass + sum(p for _, p in nd.levels)
+
+
+def nested_support_size(nd) -> int:
+    """Number of sets a `NestedDistribution` puts positive mass on."""
+    return len(nd.levels) + (1 if nd.empty_mass > 0.0 else 0)
+
+
 def random_marginals(rng: random.Random, ground):
     return {e: rng.random() for e in ground}
 

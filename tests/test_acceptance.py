@@ -22,7 +22,8 @@ from icx.oracle import (brute_force_deterministic, brute_force_randomized,
                         deterministic_non_ic_best, lp_best_distribution,
                         lp_min_cost_given_marginals, no_inspection_best)
 from icx.randomized import nested_min_cost_distribution, solve_randomized
-from conftest import random_instance, random_marginals, random_submodular_fn
+from conftest import (nested_marginal, nested_support_size, nested_total_mass,
+                      random_instance, random_marginals, random_submodular_fn)
 
 HARD7 = HardParams(7, frozenset([1, 2, 4, 5, 6, 7]))
 
@@ -85,10 +86,10 @@ def test_criterion_3_nested_distribution_optimality():
         top = max(marginals.values())
         mass = top + rng.uniform(0.0, 1.0 - top)
         nd = nested_min_cost_distribution(ground, marginals, mass, value_of)
-        assert abs(nd.total_mass() - mass) <= 1e-12
+        assert abs(nested_total_mass(nd) - mass) <= 1e-12
         for e in ground:
-            assert abs(nd.marginal(e) - marginals[e]) <= 1e-12
-        assert nd.support_size() <= g + 1
+            assert abs(nested_marginal(nd, e) - marginals[e]) <= 1e-12
+        assert nested_support_size(nd) <= g + 1
         _, lp_cost = lp_min_cost_given_marginals(ground, marginals, mass, value_of)
         gap = abs(nd.expected_cost - lp_cost)
         worst = max(worst, gap)

@@ -170,6 +170,16 @@ class TestSolve:
         assert code == 0
         assert main(["solve", "--mode", "rand", str(tmp_path / "hard.json")]) == 4
 
+    def test_non_submodular_rand_exit_4_at_n_14(self, capsys, tmp_path):
+        # The whole 2^14 table is scanned: no size is trusted unchecked.
+        path = str(tmp_path / "hard11.json")
+        assert main(["gen", "--family", "xos-hard", "--k", "11", "--seed", "0",
+                     "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--mode", "rand", path]) == 4
+        assert capsys.readouterr() == ("", "cost-class check failed: inspection cost is "
+                                           "not submodular; witness (1016, 10, 12)\n")
+
     @pytest.mark.parametrize("mode", ["det", "rand"])
     def test_large_additive_weights_solve(self, capsys, tmp_path, mode):
         # Submodular by type: not refused over a rounding error of ~1e-12.
@@ -493,6 +503,9 @@ def _distinct_table13():
 # every entry: hashing a table at the cost of its distinct values must not
 # move a byte.  The `rand` pins were re-recorded when the randomized solver
 # began reading suffix values lazily; only `query_counts.value` moved.
+# table13 is not submodular, and since the cost-class check covers every n
+# `solve --mode rand` refuses it (REFUSED); its `eval` pin evaluates the
+# scheme the solver returns when it is made to trust the table.
 STDOUT_INSTANCES = {
     "intro": gen_intro_example,
     "typed16": lambda: random_instance(random.Random(16), 16, fn_kind="sub"),
@@ -513,12 +526,15 @@ STDOUT_SHA256 = {
         "21e37a6bf571af5b0248cf02d2b7e1f05796d5656268b8d9a5f0b306d867fbc3",
     ("table13", "det"):
         "ecc605cea72a7991d0324c42db26d82fc82fc365a9a67ffa122ea4c274df8956",
-    ("table13", "rand"):
-        "b546c009f92796aea120bed57b5ee8dce697f044b575deb3e0c98f3d6a1ffe87",
     ("table13", "eval"):
         "2437ace78af4d0d240ffb7054e3df44986bb73c75aff4d65fdb1d60a985a522e",
     ("xos11", "det"):
         "761ad6d8424dd624a501982498e81bfa34df711650725c04f2c78a4bdcb00977",
+}
+# The stderr of a solve that exits 4, with nothing on stdout.
+REFUSED = {
+    ("table13", "rand"):
+        "cost-class check failed: inspection cost is not submodular; witness (0, 0, 1)\n",
 }
 
 # sha256 of every other command's output, recorded while _emit still wrote
@@ -568,15 +584,21 @@ COMMAND_SHA256 = {
 
 
 class TestStdoutGolden:
-    @pytest.mark.parametrize("name, command", sorted(STDOUT_SHA256))
-    def test_stdout_bytes(self, capsys, tmp_path, name, command):
+    @pytest.mark.parametrize("name, command", sorted([*STDOUT_SHA256, *REFUSED]))
+    def test_stdout_bytes(self, capsys, monkeypatch, tmp_path, name, command):
         path = tmp_path / f"{name}.json"
         if name == "xos11":
             assert main(["gen", "--family", "xos-hard", "--k", "11", "--seed", "0",
                          "--out", str(path)]) == 0
         else:
             path.write_text(json.dumps(instance_to_json(STDOUT_INSTANCES[name]())))
+        if (name, command) in REFUSED:
+            assert main(["solve", "--mode", command, str(path)]) == 4
+            assert capsys.readouterr() == ("", REFUSED[name, command])
+            return
         if command == "eval":
+            if (name, "rand") in REFUSED:
+                monkeypatch.setattr(cli.randomized, "submodular_by_type", lambda fn: True)
             assert main(["solve", "--mode", "rand", str(path)]) == 0
             scheme = tmp_path / "scheme.json"
             scheme.write_text(json.dumps(json.loads(capsys.readouterr().out)["scheme"]))

@@ -140,6 +140,16 @@ class TestCheckers:
         with pytest.raises(ValueError):
             check_monotone(Additive([0.0] * 17))
 
+    def test_check_mode_is_exhaustive_up_to_the_limit(self):
+        limit = costfn.EXHAUSTIVE_MAX_N
+        assert costfn.check_mode(Additive([0.0] * limit)) == "exhaustive"
+        assert costfn.check_mode(Additive([0.0] * (limit + 1))) == "sampled"
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("check", [check_monotone, check_submodular])
+    def test_empty_ground_set_passes(self, check, mode):
+        assert check(Additive([]), mode=mode) == (True, None)
+
     def test_sampled_mode_replays(self, rng):
         fn = random_monotone_table(rng, 8)
         assert check_monotone(fn, mode="sampled", seed=7, samples=500)[0]

@@ -10,7 +10,7 @@ from icx import costfn
 from icx.families import gen_intro_example, gen_nonic_example
 from icx.model import (Action, InspectionScheme, Instance, ValidationError,
                        agent_utility, best_responses, deterministic_scheme,
-                       is_IC, marginal, normalize_scheme, principal_utility)
+                       is_IC, marginal, principal_utility)
 
 
 class _Sizeless(costfn.SetFunction):
@@ -18,6 +18,36 @@ class _Sizeless(costfn.SetFunction):
 
     def value(self, mask):
         return 0.0
+
+
+class _Sized(costfn.SetFunction):
+    """A cost stating the ground-set size it is given, of whatever type."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def value(self, mask):
+        return 0.0
+
+
+def normalize_scheme(inst, scheme):
+    """Move all mass on subsets containing the suggested action to its singleton.
+
+    Preserves every agent utility exactly and weakly increases the principal's
+    utility for monotone inspection costs; preserves determinism.
+    """
+    i = scheme.suggested
+    singleton_mass = 0.0
+    rest = []
+    for s, p in scheme.distribution:
+        if i in s:
+            singleton_mass += p
+        else:
+            rest.append((s, p))
+    if singleton_mass == 0.0:
+        return scheme
+    rest.append((frozenset([i]), singleton_mass))
+    return InspectionScheme(i, scheme.alpha, rest)
 
 
 def scheme(suggested, alpha, dist):
@@ -68,7 +98,12 @@ class TestValidation:
         ((Action("a0", 0.0, 0.5),), costfn.Additive([0.0, 0.0]),
          "cost function ground-set size != number of actions"),
         ((Action("a0", 0.0, 0.5),), _Sizeless(), "cost function has no ground-set size n"),
-    ], ids=["empty", "31-actions", "wrong-ground-set", "no-ground-set-size"])
+        ((Action("a0", 0.0, 0.5), Action("a1", 0.1, 0.5)), _Sized(2.0),
+         "cost function ground-set size n must be an int, not 2.0"),
+        ((Action("a0", 0.0, 0.5),), _Sized(True),
+         "cost function ground-set size n must be an int, not True"),
+    ], ids=["empty", "31-actions", "wrong-ground-set", "no-ground-set-size",
+            "float-ground-set-size", "bool-ground-set-size"])
     def test_instance_rejects(self, actions, cost_fn, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Instance(actions, "a0", cost_fn)

@@ -10,15 +10,30 @@ from hypothesis import strategies as st
 
 from icx import costfn, randomized
 from icx.deterministic import solve_deterministic
-from icx.families import gen_intro_example, gen_nonic_example
+from icx.families import (gen_intro_example, gen_nonic_example, gen_xos_hard,
+                          random_hard_params)
 from icx.model import Action, Instance, ValidationError, is_IC, marginal
 from icx.oracle import lp_min_cost_given_marginals
 from icx.randomized import (SubmodularityError, _eta_order, _intervals, _partition,
-                            _Values, assemble_scheme, eta, nested_min_cost_distribution,
+                            _Values, assemble_scheme, nested_min_cost_distribution,
                             solve_randomized, solve_subproblem)
 from icx.serialization import canonical_dumps
-from conftest import (Squared, random_coupling, random_instance, random_marginals,
+from conftest import (Squared, nested_marginal, nested_support_size, nested_total_mass,
+                      random_coupling, random_instance, random_marginals,
                       random_submodular_fn, scaled_rivals_instance)
+
+
+def eta(inst, i, j, alpha, p_i):
+    """Minimal inspection marginal on j making suggestion i weakly preferred.
+
+    The id-based form of the bound the solver reads from each rival's curve.
+    """
+    fj = inst.f(j)
+    if fj <= 0.0:
+        raise ValidationError(f"eta undefined for f({j}) = 0; constraint is vacuous")
+    if alpha <= 0.0:
+        raise ValidationError("eta requires a positive payment")
+    return 1.0 - p_i - (alpha * inst.f(i) - inst.c(i) + inst.c(j)) / (alpha * fj)
 
 
 def partition(inst, i):
@@ -121,10 +136,10 @@ class TestNestedDistribution:
             top = max(marg.values())
             mass = top + rng.uniform(0.0, 1.0 - top)
             nd = nested_min_cost_distribution(ground, marg, mass)
-            assert abs(nd.total_mass() - mass) <= 1e-12
+            assert abs(nested_total_mass(nd) - mass) <= 1e-12
             for e in ground:
-                assert abs(nd.marginal(e) - marg[e]) <= 1e-12
-            assert nd.support_size() <= g + 1
+                assert abs(nested_marginal(nd, e) - marg[e]) <= 1e-12
+            assert nested_support_size(nd) <= g + 1
 
     def test_beats_random_couplings(self, rng):
         for trial in range(100):
@@ -560,14 +575,37 @@ class TestSolveRandomized:
         typed = random_instance(rng, 11, fn=random_submodular_fn(rng, 11, "coverage"))
         report = solve_randomized(typed.with_cost_fn(costfn.CountingOracle(typed.cost_fn)))
         assert (scans, report.warnings) == ([], ())
+        # Any other cost is checked up to n = 16 exhaustively, with no warning.
         table = typed.with_cost_fn(costfn.ExplicitTable(typed.cost_fn.table()))
-        assert solve_randomized(table).warnings == (
-            "submodularity unverified (n > 10); result trusted",)
-        assert scans == []
+        assert solve_randomized(table).warnings == ()
+        assert scans == [11]
         small = random_instance(rng, 10, fn=costfn.ExplicitTable(
             random_submodular_fn(rng, 10, "budget").table()))
         assert solve_randomized(small).warnings == ()
-        assert scans == [10]
+        assert scans == [11, 10]
+
+    @pytest.mark.parametrize("k", [11, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hidden_shift_refused_exhaustively(self, k, seed):
+        # n = 14 and 16: the whole table is scanned, and a witness found.
+        inst = gen_xos_hard(random_hard_params(k, seed))
+        with pytest.raises(SubmodularityError):
+            solve_randomized(inst)
+
+    def test_hidden_shift_refused_by_sample(self):
+        inst = gen_xos_hard(random_hard_params(17, 0))
+        assert costfn.check_mode(inst.cost_fn) == "sampled"
+        with pytest.raises(SubmodularityError):
+            solve_randomized(inst)
+
+    def test_sampled_check_without_witness_warns(self):
+        rng = random.Random(20)
+        clause = [rng.uniform(0.0, 0.6) for _ in range(20)]
+        inst = random_instance(rng, 20, fn=costfn.XOSClauses([clause]))
+        report = solve_randomized(inst)
+        assert report.warnings == (
+            "submodularity sampled, not proven (n > 16): no violation in 1000 random draws",)
+        assert is_IC(inst, report.scheme, 1e-9)
 
     def test_beats_deterministic(self, rng):
         for trial in range(60):
@@ -855,7 +893,7 @@ def test_nested_mass_feasibility_property(g, margs, slack):
     top = max(marg.values())
     mass = top + slack * (1.0 - top)
     nd = nested_min_cost_distribution(ground, marg, mass)
-    assert abs(nd.total_mass() - mass) <= 1e-12
+    assert abs(nested_total_mass(nd) - mass) <= 1e-12
     assert all(p >= 0 for _, p in nd.levels)
     assert nd.empty_mass >= 0.0
 
