@@ -13,6 +13,12 @@ their median; `value_queries` counts each seed's cost-oracle value queries
 (from one more solve, through `CountingOracle`).  Times are wall clock on
 whatever host runs the script, so compare two trees in one session.
 
+Then, for each n in {4, 5, 6, 7}, the same for the LP oracle
+`brute_force_randomized`, with mode "oracle-rand" and, per seed, its LP
+solves and simplex pivots per call besides its value queries.  Those are
+counted on one more call, with the oracle module's simplex core and pivot
+wrapped by counters for that call only.
+
 Usage: PYTHONPATH=src python scripts/solve_curve.py [--repeats 5]
 """
 
@@ -28,11 +34,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import gen  # noqa: E402  (benchmarks/gen.py)
 
+from icx import oracle  # noqa: E402
 from icx.costfn import CountingOracle  # noqa: E402
 from icx.deterministic import solve_deterministic  # noqa: E402
 from icx.randomized import solve_randomized  # noqa: E402
 
 SIZES = (5, 10, 20, 30)
+ORACLE_SIZES = (4, 5, 6, 7)
 SEEDS = (1, 2, 3)
 SOLVERS = {"det": solve_deterministic, "rand": solve_randomized}
 
@@ -52,6 +60,33 @@ def value_queries(solve, inst) -> int:
     return counted.value_queries
 
 
+def oracle_counts(inst) -> tuple[int, int, int]:
+    """(LP solves, simplex pivots, value queries) of one brute_force_randomized call."""
+    counts = {"_simplex": 0, "_pivot": 0}
+    originals = {name: getattr(oracle, name) for name in counts}
+
+    def counting(name):
+        def counted_call(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return counted_call
+
+    counted = CountingOracle(inst.cost_fn)
+    try:
+        for name in counts:
+            setattr(oracle, name, counting(name))
+        oracle.brute_force_randomized(inst.with_cost_fn(counted))
+    finally:
+        for name, fn in originals.items():
+            setattr(oracle, name, fn)
+    return counts["_simplex"], counts["_pivot"], counted.value_queries
+
+
+def instances(n: int) -> list:
+    return [gen.general_position_instance(random.Random(seed), n, "additive")
+            for seed in SEEDS]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5,
@@ -60,8 +95,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     for n in SIZES:
-        insts = [gen.general_position_instance(random.Random(seed), n, "additive")
-                 for seed in SEEDS]
+        insts = instances(n)
         for mode, solve in SOLVERS.items():
             ms = [best_ms(solve, inst, args.repeats) for inst in insts]
             print(json.dumps({
@@ -69,6 +103,15 @@ def main(argv=None) -> int:
                 "ms": [round(t, 3) for t in ms],
                 "value_queries": [value_queries(solve, inst) for inst in insts],
             }), flush=True)
+    for n in ORACLE_SIZES:
+        insts = instances(n)
+        ms = [best_ms(oracle.brute_force_randomized, inst, args.repeats) for inst in insts]
+        solves, pivots, queries = zip(*map(oracle_counts, insts))
+        print(json.dumps({
+            "mode": "oracle-rand", "n": n, "median_ms": round(statistics.median(ms), 3),
+            "ms": [round(t, 3) for t in ms], "lp_solves": solves, "pivots": pivots,
+            "value_queries": queries,
+        }), flush=True)
     return 0
 
 

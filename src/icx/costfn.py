@@ -401,11 +401,17 @@ def check_mode(fn: SetFunction) -> str:
     return "exhaustive" if fn.n <= EXHAUSTIVE_MAX_N else "sampled"
 
 
-def _sampled_masks(rng: random.Random, n: int, count: int):
-    """count random masks over n elements; none when n = 0, which has no element to draw."""
+def _sampled_draws(rng: random.Random, n: int, k: int, count: int):
+    """count random (elements, mask) draws: k distinct elements, then a mask over the rest.
+
+    The mask is uniform over the subsets of the other n - k elements, so no
+    draw is wasted on an element the mask holds.  None when n < k, as
+    there are not k elements to draw.
+    """
     full = (1 << n) - 1
-    for _ in range(count if n else 0):
-        yield rng.randint(0, full)
+    for _ in range(count if n >= k else 0):
+        elements = rng.sample(range(n), k)
+        yield elements, rng.randint(0, full) & ~sum(1 << e for e in elements)
 
 
 def _bit_slices(vals: Sequence[float], n: int, i: int):
@@ -501,18 +507,15 @@ def check_monotone(fn: SetFunction, mode: str = "exhaustive",
     """Check S <= T => v(S) <= v(T) via single-element extensions.
 
     Returns (True, None) or (False, (mask, element)) where adding `element`
-    to `mask` strictly decreases the value.
+    to `mask` strictly decreases the value.  Sampled, each of `samples`
+    draws picks an element, then a random mask without it, and compares.
     """
     n = fn.n
     if mode == "exhaustive":
         witness = _monotone_violation(_full_table(fn, "exhaustive monotonicity"), n)
         return witness is None, witness
     elif mode == "sampled":
-        rng = random.Random(seed)
-        for mask in _sampled_masks(rng, n, samples):
-            i = rng.randrange(n)
-            if mask & (1 << i):
-                continue
+        for (i,), mask in _sampled_draws(random.Random(seed), n, 1, samples):
             if fn.value(mask | (1 << i)) < fn.value(mask) - EQ_TOL:
                 return False, (mask, i)
         return True, None
@@ -527,17 +530,15 @@ def check_submodular(fn: SetFunction, mode: str = "exhaustive",
     above 1: exhaustively, the largest in the table; sampled, the largest
     of the four values each comparison reads.  Returns (True, None) or
     (False, (mask, i, j)) for the first violating nested pair found.
+    Sampled, each of `samples` draws picks i != j, then a random mask
+    without either, and compares; with n < 2 there is no triple to draw.
     """
     n = fn.n
     if mode == "exhaustive":
         witness = _submodular_violation(_full_table(fn, "exhaustive submodularity"), n)
         return witness is None, witness
     elif mode == "sampled":
-        rng = random.Random(seed)
-        for mask in _sampled_masks(rng, n, samples):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j or mask & (1 << i) or mask & (1 << j):
-                continue
+        for (i, j), mask in _sampled_draws(random.Random(seed), n, 2, samples):
             bi, bj = 1 << i, 1 << j
             vals = (fn.value(mask | bj | bi), fn.value(mask | bj),
                     fn.value(mask | bi), fn.value(mask))

@@ -19,10 +19,10 @@ first lower bound it leaves uninspected, so the IC masks fall into one
 group per lower bound (plus one for the masks that inspect the
 suggestion), each a fixed part and every subset of a free part, at one
 payment; the oracle walks the groups and never visits a mask that is not
-IC.  The randomized oracle builds the LP skeleton (subset masks, their
-costs, the 0/1 constraint matrix) once per suggestion and recomputes only
-the right-hand side at each payment.  Each mask's cost is queried at most
-once per suggestion.
+IC.  The randomized oracle builds and checks the LP skeleton (subset masks,
+their costs, the 0/1 constraint matrix) once per suggestion and recomputes
+only the right-hand side at each payment.  Each mask's cost is queried at
+most once per call, whichever suggestions' LPs it enters.
 """
 
 from __future__ import annotations
@@ -142,16 +142,22 @@ def simplex_solve(lp: LinearProgram):
     variable) and value (the `math.fsum` of objective times solution) are
     None unless optimal.
     """
-    m, n = len(lp.A), len(lp.objective)
-    senses = list(lp.senses)
-    rows, b = [], []
+    return _simplex(lp.objective, lp.A, lp.senses, lp.b)
+
+
+def _simplex(objective: list[float], A: list[list[float]], senses: Sequence[str],
+             b: list[float]):
+    """`simplex_solve` on lists that a `LinearProgram` has already checked.
+
+    Reads its arguments and changes none of them, so one checked objective
+    and matrix serve any number of right-hand sides.
+    """
+    m, n = len(A), len(objective)
+    rows, senses, b = list(A), list(senses), list(b)
     for r in range(m):
-        row, rhs = lp.A[r], lp.b[r]
-        if rhs < 0:
-            row, rhs = [-v for v in row], -rhs
+        if b[r] < 0:
+            rows[r], b[r] = [-v for v in rows[r]], -b[r]
             senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
-        rows.append(row)
-        b.append(rhs)
 
     n_slack = senses.count("<=")
     n_surplus = senses.count(">=")
@@ -204,7 +210,7 @@ def simplex_solve(lp: LinearProgram):
             del row[art0:-1]  # bar artificials from re-entering
 
     # Phase 2: original objective.
-    obj = lp.objective + [0.0] * (art0 - n + 1)
+    obj = objective + [0.0] * (art0 - n + 1)
     for r, bc in enumerate(basis):
         if bc < art0 and obj[bc] != 0.0:
             f = obj[bc]
@@ -217,7 +223,7 @@ def simplex_solve(lp: LinearProgram):
     for r, bc in enumerate(basis):
         x[bc] = T[r][-1]
     x = x[:n]
-    return "optimal", x, math.fsum(c * v for c, v in zip(lp.objective, x))
+    return "optimal", x, math.fsum(c * v for c, v in zip(objective, x))
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +442,23 @@ def lp_min_cost_given_marginals(ground: Sequence[Hashable], marginals,
 
 
 class _LPSkeleton:
-    """Suggestion i's inspection LP less its right-hand side.
+    """Suggestion i's inspection LP less its right-hand side, checked once.
 
     Columns are the nonempty subsets of the other actions as index masks, in
     `itertools.combinations` order, then {i}; rows are the marginal
     constraints of the other actions with f > 0, then the total mass.  Only
     the marginal right-hand sides depend on the payment, so one skeleton
-    serves every payment tried for i: each mask's cost is queried once.
+    serves every payment tried for i.  Its costs, matrix, senses and size
+    pass `LinearProgram`'s checks once, when it is built, and the costs are
+    stored as floats.  `values` maps a mask to its cost; the skeleton reads
+    a mask missing from it once and records it there, so skeletons sharing
+    one dict query each mask once between them.  Without one, the skeleton
+    keeps its own and queries each of its 2^(n-1) masks once.
     """
 
     __slots__ = ("k", "masks", "costs", "A", "senses", "active", "fs", "cs")
 
-    def __init__(self, inst: Instance, k: int):
+    def __init__(self, inst: Instance, k: int, values: dict[int, float] | None = None):
         self.k = k
         self.fs = [a.prob for a in inst.actions]
         self.cs = [a.cost for a in inst.actions]
@@ -455,11 +466,18 @@ class _LPSkeleton:
         self.masks = [sum(c) for r in range(1, len(others) + 1)
                       for c in itertools.combinations(others, r)]
         value = inst.cost_fn.value
-        self.costs = [value(m) for m in self.masks] + [value(1 << k)]
+        values = {} if values is None else values
+        costs = []
+        for m in self.masks + [1 << k]:
+            if m not in values:
+                values[m] = value(m)
+            costs.append(values[m])
         self.active = [j for j in range(inst.n) if j != k and self.fs[j] > 0.0]
-        self.A = [[float(m >> j & 1) for m in self.masks] + [1.0] for j in self.active]
-        self.A.append([1.0] * (len(self.masks) + 1))
-        self.senses = (">=",) * len(self.active) + ("<=",)
+        A = [[float(m >> j & 1) for m in self.masks] + [1.0] for j in self.active]
+        A.append([1.0] * (len(self.masks) + 1))
+        senses = (">=",) * len(self.active) + ("<=",)
+        lp = LinearProgram(costs, A, senses, [0.0] * len(A))
+        self.costs, self.A, self.senses = lp.objective, lp.A, lp.senses
 
     def rhs(self, alpha: float) -> list[float]:
         fi, ci, fs, cs = self.fs[self.k], self.cs[self.k], self.fs, self.cs
@@ -470,10 +488,14 @@ class _LPSkeleton:
 def _lp_at(skeleton: _LPSkeleton, alpha: float):
     """(x, alpha*f(i) + E[v]) of the skeleton's LP at payment alpha, or (None, inf).
 
-    x is the simplex solution, one entry per skeleton column.
+    x is the simplex solution, one entry per skeleton column.  The skeleton
+    was checked when built, so only the new right-hand side is checked here;
+    the simplex gets the same floats a fresh `LinearProgram` would hold.
     """
-    lp = LinearProgram(skeleton.costs, skeleton.A, skeleton.senses, skeleton.rhs(alpha))
-    status, x, value = simplex_solve(lp)
+    b = skeleton.rhs(alpha)
+    if not all(map(math.isfinite, b)):
+        raise ValueError("LP entries must be finite")
+    status, x, value = _simplex(skeleton.costs, skeleton.A, skeleton.senses, b)
     if status != "optimal":
         return None, math.inf
     return x, alpha * skeleton.fs[skeleton.k] + value
@@ -551,12 +573,17 @@ def brute_force_randomized(inst: Instance, *, alpha_resolution: float | None = N
     break-even end is often the optimum, so both ends are tried as well.
     Returns (scheme, utility).
 
+    The suggestions' skeletons share one mask -> cost dict, which lives
+    only as long as the call: each mask is queried at most once, and the
+    masks queried are the eligible suggestions' LP columns.
+
     `alpha_resolution` is read by nothing, as the search has no grid; it
     is accepted only because `benchmarks/workloads.py` still passes it.
     """
     if inst.n > RAND_ORACLE_MAX_N:
         raise OracleSizeError(f"randomized oracle limited to n <= {RAND_ORACLE_MAX_N}")
     best: tuple[float, InspectionScheme] | None = None
+    values: dict[int, float] = {}  # mask -> cost, shared by every suggestion's skeleton
 
     def consider(utility, scheme):
         nonlocal best
@@ -570,7 +597,7 @@ def brute_force_randomized(inst: Instance, *, alpha_resolution: float | None = N
             continue
         if a.prob <= a.cost:
             continue
-        skeleton = _LPSkeleton(inst, k)
+        skeleton = _LPSkeleton(inst, k, values)
         solved = {}  # payment -> (LP solution, total cost)
 
         def total_cost(alpha, skeleton=skeleton, solved=solved):

@@ -150,6 +150,19 @@ class TestCheckers:
     def test_empty_ground_set_passes(self, check, mode):
         assert check(Additive([]), mode=mode) == (True, None)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_single_element_has_no_submodularity_triple(self, mode):
+        assert check_submodular(Additive([0.5]), mode=mode) == (True, None)
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 30])
+    def test_every_sampled_draw_compares(self, n):
+        # The elements are drawn first and the mask over the rest, so no draw
+        # is skipped: 2 reads per monotonicity draw, 4 per submodularity one.
+        for check, reads in ((check_monotone, 2), (check_submodular, 4)):
+            counted = CountingOracle(Additive([0.125] * n))
+            assert check(counted, mode="sampled", samples=300) == (True, None)
+            assert counted.value_queries == reads * 300
+
     def test_sampled_mode_replays(self, rng):
         fn = random_monotone_table(rng, 8)
         assert check_monotone(fn, mode="sampled", seed=7, samples=500)[0]
@@ -371,7 +384,13 @@ class TestTables:
         counted = CountingOracle(fn)
         assert check_submodular(counted) == (False, (0, 0, 1))
         assert counted.value_queries == 1 << 3
-        assert check_submodular(fn, mode="sampled") == (False, (1, 2, 1))
+        ok, witness = check_submodular(fn, mode="sampled")
+        assert (ok, witness) == (False, (0, 1, 2))
+        mask, i, j = witness  # a real violation: i gains more once j is in
+        bi, bj = 1 << i, 1 << j
+        assert not mask & (bi | bj) and i != j
+        v = fn.value
+        assert v(mask | bj | bi) - v(mask | bj) > v(mask | bi) - v(mask)
         assert check_monotone(fn) == (True, None)
 
     def test_constructor_tables_skip_value(self, rng, monkeypatch):

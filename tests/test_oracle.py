@@ -280,16 +280,43 @@ class TestRandomizedBruteForce:
         assert is_IC(inst, scheme, 1e-9)
 
     def test_lp_solves_per_suggestion(self, monkeypatch):
-        # Two interior probes, at most 48 golden steps and the two ends.
+        # Two interior probes, at most 48 golden steps and the two ends.  Every
+        # payment's LP goes through the simplex core, `simplex_solve` or not.
         solves = []
-        solve = oracle.simplex_solve
-        monkeypatch.setattr(oracle, "simplex_solve",
-                            lambda lp: solves.append(1) or solve(lp))
+        core = oracle._simplex
+        monkeypatch.setattr(oracle, "_simplex",
+                            lambda *lp: solves.append(1) or core(*lp))
+        total = 0
         for inst in _battery(60) + [gen_intro_example()]:
             solves.clear()
             brute_force_randomized(inst)
             eligible = sum(a.prob > a.cost > 0.0 for a in inst.actions)
-            assert len(solves) <= 52 * eligible
+            assert 4 * eligible <= len(solves) <= 52 * eligible
+            total += len(solves)
+        assert total > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_refused(self, bad):
+        # Each skeleton is checked once, when built, with LinearProgram's text.
+        class Poisoned(costfn.SetFunction):
+            n = 3
+
+            def value(self, mask):
+                return bad if mask == 0b001 else 0.1 * mask.bit_count()
+
+        inst = Instance((Action("bot", 0.0, 0.1), Action("a", 0.2, 0.9),
+                         Action("b", 0.1, 0.5)), "bot", Poisoned())
+        with pytest.raises(ValueError, match=r"^LP entries must be finite$"):
+            brute_force_randomized(inst)
+        with pytest.raises(ValueError, match=r"^LP entries must be finite$"):
+            lp_best_distribution(inst, "a", 0.5)
+
+    def test_non_finite_right_hand_side_refused(self):
+        # A rival of subnormal prob sends its marginal bound to -inf.
+        inst = Instance((Action("bot", 0.0, 1e-310), Action("a", 0.1, 0.9)), "bot",
+                        costfn.Additive([0.01, 0.01]))
+        with pytest.raises(ValueError, match=r"^LP entries must be finite$"):
+            lp_best_distribution(inst, "a", 0.5)
 
     def test_fixed_alpha_lp_is_ic(self, rng):
         for trial in range(15):
@@ -679,6 +706,44 @@ class TestIndexNativeOracles:
                 # One query per mask, when the skeleton is built; none per payment.
                 assert counted.value_queries == 1 << (inst.n - 1)
                 assert _answer(lp_best_distribution(inst, a.id, alphas[0])) == refs[0]
+
+    def test_lp_at_matches_a_fresh_linear_program(self):
+        # The skeleton is checked once and `_lp_at` checks only the new
+        # right-hand side: the core gets the floats a fresh LinearProgram
+        # holds, so the same pivots give the same bits.
+        rng = random.Random(17)
+        for inst in _battery():
+            for k, a in enumerate(inst.actions):
+                alphas = [rng.choice(GRID[1:]), rng.uniform(1e-3, 1.0), 1.0]
+                if 0.0 < a.cost <= a.prob:
+                    alphas.append(a.cost / a.prob)
+                skeleton = oracle._LPSkeleton(inst, k)
+                for alpha in alphas:
+                    x, cost = oracle._lp_at(skeleton, alpha)
+                    status, y, value = simplex_solve(LinearProgram(
+                        skeleton.costs, skeleton.A, skeleton.senses, skeleton.rhs(alpha)))
+                    if status != "optimal":
+                        assert (x, cost) == (None, math.inf)
+                        continue
+                    assert list(map(float.hex, x)) == list(map(float.hex, y))
+                    assert cost.hex() == (alpha * a.prob + value).hex()
+
+    def test_randomized_reads_each_mask_once_per_call(self):
+        # The suggestions' skeletons share one memo: each mask is read at most
+        # once, and the masks read are the eligible suggestions' LP columns,
+        # every nonempty subset of the rivals and the suggestion alone.
+        for inst in _battery():
+            log = _MaskLog(inst.cost_fn)
+            brute_force_randomized(inst.with_cost_fn(log))
+            full = (1 << inst.n) - 1
+            want = set()
+            for k, a in enumerate(inst.actions):
+                if a.prob > a.cost > 0.0:
+                    rivals = full & ~(1 << k)
+                    want |= {m for m in range(1, full + 1) if m & rivals == m}
+                    want.add(1 << k)
+            assert len(log.masks) == len(set(log.masks))
+            assert set(log.masks) == want
 
     def test_randomized_wraps_one_scheme_per_suggestion(self, monkeypatch):
         wrapped = []
