@@ -31,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Callable, Hashable, Sequence
 
 from .costfn import EQ_TOL
@@ -394,15 +395,9 @@ def brute_force_deterministic(inst: Instance):
 def no_inspection_best(inst: Instance):
     """Best IC utility when the principal never inspects (plain contracts)."""
     fs, cs = _integers(inst.actions)
-    best = None
-    for k, a in enumerate(inst.actions):
-        pay = _ICBounds(fs, cs, k).payment(0)
-        if pay is None:
-            continue
-        utility = (1.0 - pay[1]) * a.prob
-        if best is None or utility > best[2]:
-            best = (a.id, pay[1], utility)
-    return best
+    pays = ((a, _ICBounds(fs, cs, k).payment(0)) for k, a in enumerate(inst.actions))
+    plain = ((a.id, pay[1], (1.0 - pay[1]) * a.prob) for a, pay in pays if pay is not None)
+    return max(plain, key=itemgetter(2), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +445,19 @@ class _LPSkeleton:
     the marginal right-hand sides depend on the payment, so one skeleton
     serves every payment tried for i.  Its costs, matrix, senses and size
     pass `LinearProgram`'s checks once, when it is built, and the costs are
-    stored as floats.  `values` maps a mask to its cost; the skeleton reads
-    a mask missing from it once and records it there, so skeletons sharing
-    one dict query each mask once between them.  Without one, the skeleton
-    keeps its own and queries each of its 2^(n-1) masks once.
+    stored as floats.  An instance whose 2^(n-1) columns exceed MAX_LP_VARS
+    (a power of two) is refused before any cost is read.  `values` maps a
+    mask to its cost; the skeleton reads a mask missing from it once and
+    records it there, so skeletons sharing one dict query each mask once
+    between them.  Without one, the skeleton keeps its own and queries
+    each of its 2^(n-1) masks once.
     """
 
     __slots__ = ("k", "masks", "costs", "A", "senses", "active", "fs", "cs")
 
     def __init__(self, inst: Instance, k: int, values: dict[int, float] | None = None):
+        if 1 << (inst.n - 1) > MAX_LP_VARS:
+            raise OracleSizeError(f"LP oracle limited to n <= {MAX_LP_VARS.bit_length()}")
         self.k = k
         self.fs = [a.prob for a in inst.actions]
         self.cs = [a.cost for a in inst.actions]
@@ -582,38 +581,34 @@ def brute_force_randomized(inst: Instance, *, alpha_resolution: float | None = N
     """
     if inst.n > RAND_ORACLE_MAX_N:
         raise OracleSizeError(f"randomized oracle limited to n <= {RAND_ORACLE_MAX_N}")
-    best: tuple[float, InspectionScheme] | None = None
     values: dict[int, float] = {}  # mask -> cost, shared by every suggestion's skeleton
-
-    def consider(utility, scheme):
-        nonlocal best
-        if best is None or utility > best[0]:
-            best = (utility, scheme)
-
-    for k, a in enumerate(inst.actions):
-        i = a.id
-        if a.cost == 0.0:
-            consider(a.prob, InspectionScheme(i, 0.0, [(frozenset(), 1.0)]))
-            continue
-        if a.prob <= a.cost:
-            continue
-        skeleton = _LPSkeleton(inst, k, values)
-        solved = {}  # payment -> (LP solution, total cost)
-
-        def total_cost(alpha, skeleton=skeleton, solved=solved):
-            solved[alpha] = _lp_at(skeleton, alpha)
-            return solved[alpha][1]
-
-        lo = a.cost / a.prob
-        golden = _golden_minimize(total_cost, lo, 1.0)
-        alpha, cost = min([(lo, total_cost(lo)), golden, (1.0, total_cost(1.0))],
-                          key=lambda pair: pair[1])
-        x, _ = solved[alpha]
-        if x is not None:
-            consider(a.prob - cost, _scheme_of(inst, skeleton, alpha, x))
-
-    utility, scheme = best
+    bests = (_lp_search(inst, k, values) for k in range(inst.n))
+    utility, scheme = max(filter(None, bests), key=itemgetter(0))
     return scheme, utility
+
+
+def _lp_search(inst: Instance, k: int, values: dict[int, float]):
+    """Suggestion k's best (utility, scheme), or None; a free one goes unpaid, uninspected."""
+    a = inst.actions[k]
+    if a.cost == 0.0:
+        return a.prob, InspectionScheme(a.id, 0.0, [(frozenset(), 1.0)])
+    if a.prob <= a.cost:
+        return None
+    skeleton = _LPSkeleton(inst, k, values)
+    solved = {}  # payment -> (LP solution, total cost)
+
+    def total_cost(alpha):
+        solved[alpha] = _lp_at(skeleton, alpha)
+        return solved[alpha][1]
+
+    lo = a.cost / a.prob
+    golden = _golden_minimize(total_cost, lo, 1.0)
+    alpha, cost = min([(lo, total_cost(lo)), golden, (1.0, total_cost(1.0))],
+                      key=itemgetter(1))
+    x, _ = solved[alpha]
+    if x is None:
+        return None
+    return a.prob - cost, _scheme_of(inst, skeleton, alpha, x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ Structure of the search, per suggested action i with f(i) > c(i) > 0:
     optimum is found in closed form: p_i sits at a box edge by linearity,
     and each resulting alpha-piece is minimized at an endpoint or at
     sqrt(D/f(i)).
-4.  The best (i, interval, k) is assembled into a scheme supported by at
+4.  Each suggestion's search returns its best (interval, k); one `max`
+    ranks them, and the winner is assembled into a scheme supported by at
     most n+1 sets and re-verified IC.
 
 The search runs on action indices and bitmasks, and each rival's curve
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from . import reports
@@ -377,6 +379,29 @@ def assemble_scheme(inst: Instance, ctx: _Interval, k: int, alpha: float,
     return scheme
 
 
+def _best_candidate(inst: Instance, ii: int, values: _Values):
+    """Suggestion ii's best candidate (key, ctx, k, p_i), or None.
+
+    Candidates are ranked by the whole key (utility, -ii, -alpha), first
+    found on ties: f(i) - objective can round two objectives to one utility.
+    A zero-cost action is suggested at payment 0, uninspected, with ctx None.
+    """
+    a = inst.actions[ii]
+    if a.cost == 0.0:
+        return (a.prob, -ii, 0.0), None, 0, 0.0
+    if a.prob <= a.cost:
+        return None
+    best = None
+    for ctx in _intervals(inst, ii, values):
+        for k in range(len(ctx.order) + 1):
+            res = solve_subproblem(ctx, k)
+            if res is not None:
+                key = (a.prob - res[0], -ii, -res[1])
+                if best is None or key > best[0]:
+                    best = (key, ctx, k, res[2])
+    return best
+
+
 def solve_randomized(inst: Instance) -> reports.SolveReport:
     """Optimal randomized IC inspection scheme; requires a submodular cost.
 
@@ -396,38 +421,15 @@ def solve_randomized(inst: Instance) -> reports.SolveReport:
                         f"no violation in {CHECK_SAMPLES} random draws",)
 
     values = _Values(inst.cost_fn.value)
-    best = None  # (utility, -index, -alpha) -> payload
-
-    def consider(utility, ii, alpha, payload):
-        nonlocal best
-        key = (utility, -ii, -alpha)
-        if best is None or key > best[0]:
-            best = (key, payload)
-
-    for ii, a in enumerate(inst.actions):
-        i = a.id
-        if a.cost == 0.0:
-            scheme = InspectionScheme(i, 0.0, [(_NOTHING, 1.0)])
-            consider(a.prob, ii, 0.0, ("zero_cost", i, scheme))
-            continue
-        if a.prob <= a.cost:
-            continue
-        for ctx in _intervals(inst, ii, values):
-            for k in range(len(ctx.order) + 1):
-                res = solve_subproblem(ctx, k)
-                if res is not None:
-                    consider(a.prob - res[0], ii, res[1], ("subproblem", i, ctx, k, res))
-
-    payload = best[1]
-    if payload[0] == "zero_cost":
-        _, i, scheme = payload
+    bests = (_best_candidate(inst, ii, values) for ii in range(inst.n))
+    (_, neg_ii, neg_alpha), ctx, k, p_i = max(filter(None, bests), key=itemgetter(0))
+    i = inst.ids[-neg_ii]
+    if ctx is None:
+        scheme = InspectionScheme(i, 0.0, [(_NOTHING, 1.0)])
         provenance = {"kind": "zero_cost", "suggested": i}
     else:
-        _, i, ctx, k, (_, alpha, p_i) = payload
-        scheme = assemble_scheme(inst, ctx, k, alpha, p_i)
-        provenance = {
-            "kind": "subproblem", "suggested": i, "interval": ctx.ell,
-            "k": k, "alpha": alpha, "p_suggested": p_i,
-        }
+        scheme = assemble_scheme(inst, ctx, k, -neg_alpha, p_i)
+        provenance = {"kind": "subproblem", "suggested": i, "interval": ctx.ell, "k": k,
+                      "alpha": -neg_alpha, "p_suggested": p_i}
     return reports.build_report(
         inst, "rand", scheme, provenance=provenance, warnings=warnings)

@@ -265,6 +265,8 @@ def _cost_fn_from_json(doc: dict, ids: list[ActionId]) -> costfn.SetFunction:
     if kind == "coverage":
         universe = int(_require(doc, "universe"))
         covers_doc = _require(doc, "covers")
+        if not isinstance(covers_doc, dict):
+            raise ParseError("coverage covers must map action ids to element lists")
         covers = []
         for j in ids:
             mask = 0

@@ -106,6 +106,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "parse error: could not convert string to float: 'abc'\n"
 
+    def test_coverage_covers_not_an_object_exit_2(self, capsys, tmp_path):
+        doc = instance_to_json(gen_intro_example())
+        doc["cost_fn"] = {"type": "coverage", "universe": 2, "covers": [[0], [1]],
+                          "element_weights": [1, 1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--mode", "det", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("where", ["cost", "table", "weights", "cap", "cardinality"])
     def test_non_finite_number_exit_3(self, capsys, tmp_path, where, value):

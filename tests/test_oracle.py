@@ -263,6 +263,22 @@ class TestRandomizedBruteForce:
                            match=r"^randomized oracle limited to n <= 7$"):
             brute_force_randomized(gen_gap_instance(8))
 
+    @pytest.mark.parametrize("n, refused", [(13, False), (14, True)])
+    def test_lp_size_limit_before_any_query(self, n, refused):
+        # 2^(n-1) columns: 4,096 at n = 13 fit MAX_LP_VARS, 8,192 at n = 14 do not.
+        actions = [Action("bot", 0.0, 0.1)] + [
+            Action(f"a{j}", 0.01 * j, 0.1 + 0.05 * j) for j in range(1, n)]
+        counted = costfn.CountingOracle(costfn.Additive([0.01] * n))
+        inst = Instance(tuple(actions), "bot", counted)
+        if refused:
+            with pytest.raises(oracle.OracleSizeError,
+                               match=r"^LP oracle limited to n <= 13$"):
+                lp_best_distribution(inst, "a1", 0.5)
+            assert counted.value_queries == 0
+        else:
+            scheme, _ = lp_best_distribution(inst, "a1", 0.5)
+            assert scheme is not None and counted.value_queries == 1 << (n - 1)
+
     @pytest.mark.parametrize("step", [0.0, math.nan, -0.5, math.inf, 1.5, 1.0])
     def test_alpha_resolution_is_not_read(self, step):
         inst = gen_intro_example()

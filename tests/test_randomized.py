@@ -520,6 +520,23 @@ class TestSolveRandomized:
         assert report.scheme.suggested == "a"
         assert report.payment == 0.0
 
+    def test_equal_free_actions_suggest_lower_index(self):
+        from icx.oracle import brute_force_randomized
+        inst = Instance((Action("bot", 0.0, 0.2), Action("a", 0.0, 0.9),
+                         Action("b", 0.0, 0.9)), "bot", costfn.Additive([1.0] * 3))
+        report = solve_randomized(inst)
+        assert report.provenance == {"kind": "zero_cost", "suggested": "a"}
+        assert brute_force_randomized(inst)[0].suggested == "a"
+
+    def test_identical_paid_actions_suggest_lower_index(self):
+        inst = Instance((Action("bot", 0.0, 0.1), Action("a", 0.1, 0.6),
+                         Action("b", 0.1, 0.6)), "bot", costfn.Additive([0.05] * 3))
+        report = solve_randomized(inst)
+        assert report.scheme.suggested == "a"
+        assert report.provenance["kind"] == "subproblem"
+        assert report.provenance["alpha"] == pytest.approx(0.2, abs=1e-12)
+        assert report.utility == pytest.approx(0.48, abs=1e-12)
+
     def test_rejects_non_submodular(self):
         fn = costfn.ExplicitTable([0.0, 0.0, 0.0, 1.0])
         inst = Instance((Action("bot", 0.0, 0.1), Action("a", 0.2, 0.8)), "bot", fn)
