@@ -17,7 +17,10 @@ Then, for each n in {4, 5, 6, 7}, the same for the LP oracle
 `brute_force_randomized`, with mode "oracle-rand" and, per seed, its LP
 solves and simplex pivots per call besides its value queries.  Those are
 counted on one more call, with the oracle module's simplex core and pivot
-wrapped by counters for that call only.
+wrapped by counters for that call only.  Last, for each n in {7, 10, 12},
+the same for the deterministic oracle `brute_force_deterministic`, with
+mode "oracle-det" and, per seed, the `_ICBounds` it builds per call (one
+per suggestion it visits), counted the same way.
 
 Usage: PYTHONPATH=src python scripts/solve_curve.py [--repeats 5]
 """
@@ -41,6 +44,7 @@ from icx.randomized import solve_randomized  # noqa: E402
 
 SIZES = (5, 10, 20, 30)
 ORACLE_SIZES = (4, 5, 6, 7)
+DET_ORACLE_SIZES = (7, 10, 12)
 SEEDS = (1, 2, 3)
 SOLVERS = {"det": solve_deterministic, "rand": solve_randomized}
 
@@ -60,10 +64,11 @@ def value_queries(solve, inst) -> int:
     return counted.value_queries
 
 
-def oracle_counts(inst) -> tuple[int, int, int]:
-    """(LP solves, simplex pivots, value queries) of one brute_force_randomized call."""
-    counts = {"_simplex": 0, "_pivot": 0}
-    originals = {name: getattr(oracle, name) for name in counts}
+def oracle_counts(search, inst, names) -> tuple[int, ...]:
+    """Calls to each of the oracle module's `names` in one `search(inst)`, then its
+    value queries."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(oracle, name) for name in names}
 
     def counting(name):
         def counted_call(*args):
@@ -73,13 +78,13 @@ def oracle_counts(inst) -> tuple[int, int, int]:
 
     counted = CountingOracle(inst.cost_fn)
     try:
-        for name in counts:
+        for name in names:
             setattr(oracle, name, counting(name))
-        oracle.brute_force_randomized(inst.with_cost_fn(counted))
+        search(inst.with_cost_fn(counted))
     finally:
         for name, fn in originals.items():
             setattr(oracle, name, fn)
-    return counts["_simplex"], counts["_pivot"], counted.value_queries
+    return (*counts.values(), counted.value_queries)
 
 
 def instances(n: int) -> list:
@@ -106,11 +111,23 @@ def main(argv=None) -> int:
     for n in ORACLE_SIZES:
         insts = instances(n)
         ms = [best_ms(oracle.brute_force_randomized, inst, args.repeats) for inst in insts]
-        solves, pivots, queries = zip(*map(oracle_counts, insts))
+        solves, pivots, queries = zip(*(
+            oracle_counts(oracle.brute_force_randomized, inst, ("_simplex", "_pivot"))
+            for inst in insts))
         print(json.dumps({
             "mode": "oracle-rand", "n": n, "median_ms": round(statistics.median(ms), 3),
             "ms": [round(t, 3) for t in ms], "lp_solves": solves, "pivots": pivots,
             "value_queries": queries,
+        }), flush=True)
+    for n in DET_ORACLE_SIZES:
+        insts = instances(n)
+        ms = [best_ms(oracle.brute_force_deterministic, inst, args.repeats) for inst in insts]
+        built, queries = zip(*(
+            oracle_counts(oracle.brute_force_deterministic, inst, ("_ICBounds",))
+            for inst in insts))
+        print(json.dumps({
+            "mode": "oracle-det", "n": n, "median_ms": round(statistics.median(ms), 3),
+            "ms": [round(t, 3) for t in ms], "ic_bounds": built, "value_queries": queries,
         }), flush=True)
     return 0
 

@@ -2,13 +2,13 @@
 
 Everything here exists to verify the fast solvers, so it favors transparent
 exhaustive computation over cleverness: the deterministic oracle enumerates
-every IC (suggestion, inspected set) pair; the randomized oracle searches
-the payment axis and solves an exact LP in the inspection probabilities at
-each payment it tries; the coupling LP minimizes expected cost over all
-subset distributions with prescribed marginals.  Nothing here is imported
-from the solvers: the payment search rests only on the convexity of each
-suggestion's total cost in 1/alpha, which makes the whole payment range a
-golden-section bracket.
+the IC (suggestion, inspected set) pairs until no pair left can reach the
+best found; the randomized oracle searches the payment axis and solves an
+exact LP in the inspection probabilities at each payment it tries; the
+coupling LP minimizes expected cost over all subset distributions with
+prescribed marginals.  Nothing here is imported from the solvers: the
+payment search rests only on the convexity of each suggestion's total cost
+in 1/alpha, which makes the whole payment range a golden-section bracket.
 
 Both exhaustive oracles work on action indices and subset bitmasks; ids
 appear only in the schemes they return.  The deterministic oracle scales
@@ -19,10 +19,13 @@ first lower bound it leaves uninspected, so the IC masks fall into one
 group per lower bound (plus one for the masks that inspect the
 suggestion), each a fixed part and every subset of a free part, at one
 payment; the oracle walks the groups and never visits a mask that is not
-IC.  The randomized oracle builds and checks the LP skeleton (subset masks,
-their costs, the 0/1 constraint matrix) once per suggestion and recomputes
-only the right-hand side at each payment.  Each mask's cost is queried at
-most once per call, whichever suggestions' LPs it enters.
+IC.  It takes the suggestions in descending f - c and each one's groups in
+ascending payment, and stops at the first suggestion or group whose bound,
+f - c or the group's gain (1 - alpha) * f, cannot reach the best utility
+found so far.  The randomized oracle builds and checks the LP skeleton
+(subset masks, their costs, the 0/1 constraint matrix) once per suggestion
+and recomputes only the right-hand side at each payment.  Each mask's cost
+is queried at most once per call, whichever suggestions' LPs it enters.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .model import (DEFAULT_TOL, ActionId, InspectionScheme, Instance, Validatio
 
 MAX_LP_VARS = 1 << 12
 MAX_LP_ROWS = 128
-DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates n * 2^n pairs
+DET_ORACLE_MAX_N = 12  # brute_force_deterministic enumerates at most n * 2^n pairs
 RAND_ORACLE_MAX_N = 7  # brute_force_randomized solves LPs over 2^n sets
 COUPLING_LP_MAX_GROUND = 10  # lp_min_cost_given_marginals has 2^|ground| columns
 GOLDEN_WIDTH = 1e-10  # _golden_minimize's stopping bracket width
@@ -324,13 +327,15 @@ class _ICBounds:
         """The IC masks over n actions, as (need, free, payment) groups.
 
         Each group holds the masks `need | sub`, for every submask `sub` of
-        `free`, all at one payment.  The masks that inspect k form one group
-        at `caught`.  Every other IC mask inspects `deaths` and has a first
-        uninspected lower bound L_r; it then also inspects L_0..L_{r-1}
-        and every upper bound ranked below L_r, and the rest is free.  The
-        group is empty when the upper sentinel, which no mask inspects,
-        ranks below L_r.  `need` never meets L_r or k, since each action
-        other than k falls in at most one of the bound lists and `deaths`.
+        `free`, all at one payment, and the groups come in ascending
+        payment.  The masks that inspect k form the first group, at
+        `caught`, which no lower bound's payment is below.  Every other IC
+        mask inspects `deaths` and has a first uninspected lower bound L_r;
+        it then also inspects L_0..L_{r-1} and every upper bound ranked
+        below L_r, and the rest is free.  The group is empty when the upper
+        sentinel, which no mask inspects, ranks below L_r.  `need` never
+        meets L_r or k, since each action other than k falls in at most one
+        of the bound lists and `deaths`.
         """
         full = (1 << n) - 1
         if self.caught is not None:
@@ -338,7 +343,10 @@ class _ICBounds:
         if self.lower is None:
             return
         need = self.deaths
-        for lo, bit, pay in self.lower:
+        for _, bit, _ in self.lower:
+            need |= bit
+        for lo, bit, pay in reversed(self.lower):  # L_r in ascending payment
+            need ^= bit  # leaves the bits of L_0..L_{r-1}
             fixed = need
             for hi, up in self.upper:
                 if hi > lo:
@@ -347,7 +355,6 @@ class _ICBounds:
                 if not up:  # the sentinel, which no mask inspects
                     break
                 fixed |= up
-            need |= bit
 
 
 def _payment(p: int, q: int) -> tuple[tuple[int, int], float]:
@@ -363,22 +370,49 @@ def brute_force_deterministic(inst: Instance):
     mask that is not IC is never visited.  Exact ties go to the smallest
     suggestion, then the smallest mask.  Each mask's cost is queried at most
     once, and only when some suggestion is IC with it inspected.
+
+    Branch and bound skips every pair that cannot reach the best utility
+    found so far, `top`.  It rests on every cost being at least -slack,
+    slack = (n + 1) * EQ_TOL, as a normalized cost monotone within EQ_TOL
+    is: at most n steps, each down by at most EQ_TOL, lead from the empty
+    set to any other.  A cost read below -slack raises ValidationError.
+    A group at payment alpha gains g = (1 - alpha) * f, and each of its
+    masks scores g - cost <= g + slack; rounding is monotone, so a group
+    with g + slack < top holds no mask that can win or tie.  The groups
+    come in ascending payment, so in descending gain, and the first such
+    group ends the suggestion.  A nonempty group has c <= f <= 1 and a
+    payment of at least c/f exactly.  Its alpha, 1 - alpha and g, and the
+    float f - c, are each one rounding of a number at most 1, off by at most
+    2^-54, so g <= (f - c) + 2^-52 and g + slack < (f - c) + 2 * slack.
+    So the suggestions come in descending f - c, ties to the lower index,
+    and the first with f - c + 2 * slack < top ends the search.
     """
-    if inst.n > DET_ORACLE_MAX_N:
+    n = inst.n
+    if n > DET_ORACLE_MAX_N:
         raise OracleSizeError(f"deterministic oracle limited to n <= {DET_ORACLE_MAX_N}")
     fs, cs = _integers(inst.actions)
     value = inst.cost_fn.value
-    costs: list[float | None] = [None] * (1 << inst.n)
+    slack = (n + 1) * EQ_TOL
+    costs: list[float | None] = [None] * (1 << n)
     best, top = (-math.inf,), -math.inf  # the best key and its utility
-    for k, a in enumerate(inst.actions):
-        for need, free, (_, alpha) in _ICBounds(fs, cs, k).groups(inst.n):
+    # Descending f - c, ties to the lower index: sorted() is stable.
+    for k, a in sorted(enumerate(inst.actions), key=lambda ka: ka[1].cost - ka[1].prob):
+        if a.prob - a.cost + 2 * slack < top:
+            break
+        for need, free, (_, alpha) in _ICBounds(fs, cs, k).groups(n):
             gain = (1.0 - alpha) * a.prob
+            if gain + slack < top:
+                break
             sub = 0
             while True:  # the submasks of `free`, ascending
                 mask = need | sub
                 cost = costs[mask]
                 if cost is None:
                     cost = costs[mask] = value(mask)
+                    if cost < -slack:
+                        raise ValidationError(
+                            f"cost {cost!r} of mask {mask:b} is below -(n + 1) * EQ_TOL: "
+                            "the deterministic oracle needs a normalized monotone cost")
                 utility = gain - cost
                 if utility >= top:
                     key = (utility, -mask.bit_count(), -alpha, -k, -mask)

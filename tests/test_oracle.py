@@ -665,19 +665,78 @@ class TestIndexNativeOracles:
             assert counted.value_queries <= 1 << inst.n  # each mask at most once
             assert no_inspection_best(inst) == _ref_no_inspection_best(inst)
 
-    def test_deterministic_queries_exactly_the_ic_masks(self):
-        # Each mask once, and only when some suggestion is IC with it
-        # inspected: so the oracle's query count is fixed by the instance.
+    def test_deterministic_reads_the_ic_masks_the_bound_keeps(self):
+        # Each mask at most once and only when some suggestion is IC with it
+        # inspected; and every IC mask of a (suggestion, payment) group whose
+        # gain + slack reaches the answer's utility, since only a group that
+        # cannot reach it may be skipped.
         for inst in _battery():
             log = _MaskLog(inst.cost_fn)
-            brute_force_deterministic(inst.with_cost_fn(log))
-            ic = []
-            for mask in range(1 << inst.n):
-                alphas = [_ref_feasible_alpha(inst, a.id, inst.ids_of(mask))
-                          for a in inst.actions]
-                if any(alpha is not None and alpha <= 1 for alpha in alphas):
-                    ic.append(mask)
-            assert sorted(log.masks) == ic
+            _, top = brute_force_deterministic(inst.with_cost_fn(log))
+            slack = (inst.n + 1) * costfn.EQ_TOL
+            ic, kept = set(), set()
+            for a in inst.actions:
+                for mask in range(1 << inst.n):
+                    alpha = _ref_feasible_alpha(inst, a.id, inst.ids_of(mask))
+                    if alpha is not None and alpha <= 1:
+                        ic.add(mask)
+                        if (1.0 - float(alpha)) * a.prob + slack >= top:
+                            kept.add(mask)
+            assert len(log.masks) == len(set(log.masks))
+            assert kept <= set(log.masks) <= ic
+
+    def test_deterministic_visits_suggestions_best_bound_first(self, monkeypatch):
+        # Descending f - c, ties to the lower index, up to the first whose
+        # f - c + 2 * slack is below the best utility of those before it.
+        built = []
+        ic_bounds = oracle._ICBounds
+        monkeypatch.setattr(oracle, "_ICBounds",
+                            lambda fs, cs, k: built.append(k) or ic_bounds(fs, cs, k))
+        for inst in _battery():
+            built.clear()
+            brute_force_deterministic(inst)
+            slack = (inst.n + 1) * costfn.EQ_TOL
+            by_bound = sorted(enumerate(inst.actions),
+                              key=lambda ka: (ka[1].cost - ka[1].prob, ka[0]))
+            want, top = [], -math.inf
+            for k, a in by_bound:
+                if a.prob - a.cost + 2 * slack < top:
+                    break
+                want.append(k)
+                for mask in range(1 << inst.n):
+                    alpha = _ref_feasible_alpha(inst, a.id, inst.ids_of(mask))
+                    if alpha is not None and alpha <= 1:
+                        top = max(top, (1.0 - float(alpha)) * a.prob - inst.cost_fn.value(mask))
+            assert built == want
+
+    def test_deterministic_exact_on_costs_just_below_zero(self):
+        # v(S) - 0.9 |S| EQ_TOL is still normalized and monotone within
+        # EQ_TOL, and reaches -6.3 EQ_TOL at n = 7: inside the bound's slack.
+        shifted = [inst.with_cost_fn(costfn.ExplicitTable(
+                       [v - 0.9 * mask.bit_count() * costfn.EQ_TOL
+                        for mask, v in enumerate(inst.cost_fn.table())]))
+                   for inst in _battery() if isinstance(inst.cost_fn, costfn.ExplicitTable)]
+        assert len(shifted) == 210
+        for inst in shifted:
+            assert (_answer(brute_force_deterministic(inst))
+                    == _answer(_ref_brute_force_deterministic(inst)))
+
+    def test_deterministic_refuses_a_cost_below_the_slack(self):
+        # The bound trusts every cost to be at least -(n + 1) * EQ_TOL.  The
+        # answer's mask is always read, so a dent there is always seen.
+        inst = gen_intro_example()
+        scheme, _ = brute_force_deterministic(inst)
+        (inspected, _), = scheme.distribution
+        target = inst.mask_of(inspected)
+
+        class Dented(costfn.SetFunction):
+            n = inst.n
+
+            def value(self, mask):
+                return -1e-6 if mask == target else inst.cost_fn.value(mask)
+
+        with pytest.raises(ValidationError, match=rf"^cost -1e-06 of mask {target:b} is below "):
+            brute_force_deterministic(inst.with_cost_fn(Dented()))
 
     def test_deterministic_exact_at_every_scale(self):
         # Beyond the battery: rivals succeeding with probability 1e-8..1e-11
